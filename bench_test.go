@@ -336,6 +336,36 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetDeterminism measures a native determinacy verdict, from
+// manifest text to verdict, on generated fleet manifests of about 400,
+// 1,200 and 2,400 resources (classes base → people → sites), so the
+// growth of elimination and graph building with size stays visible. It
+// runs the two fault classes that get a verdict: none (deterministic)
+// and local-dep (non-deterministic); the pkg-config class reaches the
+// exact fallback and is undecided at these sizes. No modeled latency.
+func BenchmarkFleetDeterminism(b *testing.B) {
+	for _, n := range []int{400, 1200, 2400} {
+		for _, f := range []benchmarks.FleetFault{benchmarks.FleetNone, benchmarks.FleetLocalDep} {
+			src := benchmarks.Fleet(n, f, 1)
+			b.Run(fmt.Sprintf("resources=%d/%s", n, f), func(b *testing.B) {
+				var res *core.DeterminismResult
+				for i := 0; i < b.N; i++ {
+					sys := loadOrFatal(b, src, core.DefaultOptions())
+					var err error
+					if res, err = sys.CheckDeterminism(); err != nil {
+						b.Fatal(err)
+					}
+					if res.Deterministic != f.Deterministic() {
+						b.Fatalf("deterministic = %v, want %v", res.Deterministic, f.Deterministic())
+					}
+				}
+				b.ReportMetric(float64(res.Stats.Resources), "resources")
+				b.ReportMetric(float64(res.Stats.Eliminated), "eliminated")
+			})
+		}
+	}
+}
+
 // BenchmarkIncrementalSpeedup measures the incremental SMT backend on the
 // semantic-commute-heavy workload at 4 workers, fresh solvers vs the
 // pooled incremental path with a cold and a warm pool. The Native series

@@ -1,0 +1,48 @@
+package core_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/benchmarks"
+	"repro/internal/core"
+	"repro/internal/leakcheck"
+)
+
+// TestFleetCheckHonorsContext: a fleet-shaped manifest whose check runs
+// through elimination, the replay-failing fast path and into the exact
+// fallback's final solve stops within two seconds of its context ending,
+// with an error wrapping ErrCanceled, and leaves no goroutine behind.
+func TestFleetCheckHonorsContext(t *testing.T) {
+	src := benchmarks.Fleet(400, benchmarks.FleetPkgConfig, 1)
+	base := leakcheck.Take()
+	opts := core.DefaultOptions()
+	opts.Parallelism = 2
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	opts.Context = ctx
+	sys, err := core.Load(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.CheckDeterminism()
+	<-ctx.Done()
+	late := time.Since(deadlineOf(ctx))
+	if err == nil {
+		t.Fatalf("check returned a verdict (%+v) under a one-second context", res)
+	}
+	if !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("err = %v, want one wrapping core.ErrCanceled", err)
+	}
+	if late > 2*time.Second {
+		t.Errorf("check returned %v after its context ended, want at most 2s", late)
+	}
+	leakcheck.Assert(t, base)
+}
+
+func deadlineOf(ctx context.Context) time.Time {
+	d, _ := ctx.Deadline()
+	return d
+}

@@ -263,6 +263,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 
 	g := graph.New[*node]()
 	byKey := make(map[string]graph.Node)
+	byRes := make(map[*puppet.Resource]graph.Node)
 	var internHits, internMisses int64
 	for _, r := range cat.Realized() {
 		expr, err := compiler.Compile(r)
@@ -283,19 +284,33 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		}
 		n := g.Add(&node{res: r, expr: model, orig: model, sum: commute.Analyze(model)})
 		byKey[r.Key()] = n
+		byRes[r] = n
 	}
 
-	addEdge := func(from, to *puppet.Resource, what string) error {
-		u, uok := byKey[from.Key()]
-		v, vok := byKey[to.Key()]
+	// nodeOf resolves a resource to its vertex. References expand to the
+	// catalog's own resource values, so the pointer lookup answers all but
+	// unresolved ones without rendering a key per edge.
+	nodeOf := func(r *puppet.Resource) (graph.Node, bool) {
+		if n, ok := byRes[r]; ok {
+			return n, true
+		}
+		n, ok := byKey[r.Key()]
+		return n, ok
+	}
+	// addEdge renders what (the edge's origin, for error messages) only
+	// when the edge fails: a class chain expands to hundreds of thousands
+	// of edges.
+	addEdge := func(from, to *puppet.Resource, what func() string) error {
+		u, uok := nodeOf(from)
+		v, vok := nodeOf(to)
 		if !uok || !vok {
-			return fmt.Errorf("%s: unresolved resource reference", what)
+			return fmt.Errorf("%s: unresolved resource reference", what())
 		}
 		if u == v {
 			return nil // self-dependencies via containers are ignored
 		}
 		if err := g.AddEdge(u, v); err != nil {
-			return fmt.Errorf("%s: %w", what, err)
+			return fmt.Errorf("%s: %w", what(), err)
 		}
 		return nil
 	}
@@ -314,9 +329,10 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dependency at %s: %w", d.Pos, err)
 		}
+		what := func() string { return fmt.Sprintf("dependency at %s", d.Pos) }
 		for _, f := range froms {
 			for _, t := range tos {
-				if err := addEdge(f, t, fmt.Sprintf("dependency at %s", d.Pos)); err != nil {
+				if err := addEdge(f, t, what); err != nil {
 					return nil, err
 				}
 			}
@@ -340,7 +356,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 	}
 	for p, child := range fileByPath {
 		if parent, ok := fileByPath[p.Parent()]; ok {
-			if err := addEdge(parent, child, "autorequire"); err != nil {
+			if err := addEdge(parent, child, func() string { return "autorequire" }); err != nil {
 				return nil, err
 			}
 		}

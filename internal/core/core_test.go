@@ -518,3 +518,15 @@ func TestDotAndNames(t *testing.T) {
 		t.Errorf("Size: %d", s.Size())
 	}
 }
+
+// TestDependencyErrorText pins the message of a dependency that cannot be
+// resolved: tools match on it, and FromCatalog renders it only on the
+// error path.
+func TestDependencyErrorText(t *testing.T) {
+	src := "@package {'x': ensure => present }\nfile {'/a': content => 'y', require => Package['x'] }\n"
+	_, err := Load(src, DefaultOptions())
+	const want = "dependency at 2:1: reference Package[x] targets an unrealized virtual resource"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/commute"
@@ -218,24 +220,22 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		unchanged = delta.UnchangedSet()
 	}
 
-	// Working copies: analyses must not mutate the System.
-	wg := graph.New[*workNode]()
-	remap := make(map[graph.Node]graph.Node)
-	for _, n := range s.g.Nodes() {
-		l := s.g.Label(n)
-		name := l.res.String()
-		remap[n] = wg.Add(&workNode{name: name, expr: l.expr, orig: l.orig, sum: l.sum, unchanged: unchanged[name]})
-	}
-	for _, n := range s.g.Nodes() {
-		for _, v := range s.g.Succs(n) {
-			_ = wg.AddEdge(remap[n], remap[v])
-		}
+	// Working labels: analyses must not mutate the System. The resource
+	// graph itself is only read; the graph the later phases work on is
+	// built once, from the survivors of elimination.
+	work := s.workLabels(unchanged)
+	// Reachability, once per check: elimination only removes nodes without
+	// dependents, which never changes reachability among the survivors, so
+	// the same rows serve elimination and enumeration.
+	reach, err := s.g.Reach()
+	if err != nil {
+		return nil, err
 	}
 
 	cc := newCommuteChecker(opts)
 	cc.diffAware = delta != nil
 	defer cc.cancel() // release the derived context on every exit path
-	stats := Stats{Resources: wg.Len(), TotalPaths: s.TotalPaths(), Workers: cc.workers, InternHits: s.internHits}
+	stats := Stats{Resources: s.g.Len(), TotalPaths: s.TotalPaths(), Workers: cc.workers, InternHits: s.internHits}
 	if delta != nil {
 		stats.DiffChanged = len(delta.Changed) + len(delta.Added)
 		stats.DiffUnchanged = len(delta.Unchanged)
@@ -259,13 +259,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	// equivalence (bounded-domain lemma), keeping verdicts identical to
 	// the fresh-solver path.
 	if opts.SemanticCommute && !opts.FreshSolvers {
-		poolDom := make(fs.PathSet)
-		poolExprs := make([]fs.Expr, 0, wg.Len())
-		for _, n := range wg.Nodes() {
-			poolExprs = append(poolExprs, wg.Label(n).expr)
-			poolDom.AddAll(fs.Dom(wg.Label(n).expr))
-		}
-		cc.usePool(sym.NewVocab(poolDom, poolExprs...))
+		cc.usePool(s.poolVocab())
 	}
 	// Pools outlive checks (re-checks reuse warm sessions), so the memo-hit
 	// stat below is the delta this check contributed.
@@ -279,18 +273,25 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	// the first-removed resource commutes with everything else and can be
 	// placed last in any linearization.
 	var eliminated []*workNode
+	keep := func(graph.Node) bool { return true }
 	if opts.Elimination {
-		eliminated = eliminate(wg, cc)
-		stats.Eliminated = len(eliminated)
-		if err := cc.err(); err != nil {
+		var alive graph.Bits
+		eliminated, alive, err = eliminate(s.g, work, reach, cc)
+		if err != nil {
 			return nil, err
 		}
+		stats.Eliminated = len(eliminated)
+		keep = alive.Has
 	}
+	wg := graph.Induced(s.g, keep, func(n graph.Node, _ *node) *workNode { return work[n] })
 
 	// Step 2 (section 4.4): prune definitive writes to paths that only a
 	// single resource touches.
 	if opts.Pruning {
-		pruned, reinternHits := pruneGraph(wg, !opts.DisableInterning)
+		pruned, reinternHits, err := pruneGraph(wg, !opts.DisableInterning, cc)
+		if err != nil {
+			return nil, err
+		}
 		stats.PrunedPaths = pruned
 		stats.InternHits += reinternHits
 	}
@@ -311,12 +312,18 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	if !deadline.IsZero() {
 		en.S.SetDeadline(deadline)
 	}
+	// Cancellation reaches the final determinacy solve through the SAT
+	// backend's stop flag; the deadline alone would let a canceled check
+	// run on inside the search.
+	stop := new(atomic.Bool)
+	en.S.SetStop(stop)
+	defer context.AfterFunc(cc.ctx, func() { stop.Store(true) })()
 	input := en.FreshInputState("in")
 	if opts.WellFormedInit {
 		en.S.Assert(en.WellFormed(input))
 	}
 
-	outs, orders, err := enumerate(wg, en, input, opts, deadline, cc)
+	outs, orders, err := enumerate(wg, reach, en, input, opts, deadline, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -375,6 +382,9 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	diffTerms := make([]smt.T, len(outs))
 	ts := make([]smt.T, 0, len(outs)-1)
 	for i := 1; i < len(outs); i++ {
+		if err := cc.err(); err != nil {
+			return nil, err
+		}
 		diffTerms[i] = en.StatesDiffer(outs[0], outs[i])
 		ts = append(ts, diffTerms[i])
 	}
@@ -386,6 +396,9 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		stats.Duration = time.Since(start)
 		return &DeterminismResult{Deterministic: true, Stats: stats}, nil
 	case sat.Unknown:
+		if err := cc.err(); err != nil {
+			return nil, err
+		}
 		return nil, ErrTimeout
 	}
 	fillSearch()
@@ -430,6 +443,32 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	// POR and the base encoding are exact; an unreplayable model here is a
 	// bug in the encoder.
 	panic("core: determinism model failed to replay under the exact configuration")
+}
+
+// workLabels returns a check's working copy of every node's label,
+// indexed by node handle; unchanged marks digest-unchanged resources of a
+// differential check.
+func (s *System) workLabels(unchanged map[string]bool) []*workNode {
+	work := make([]*workNode, s.g.Cap())
+	for _, n := range s.g.Nodes() {
+		l := s.g.Label(n)
+		name := l.res.String()
+		work[n] = &workNode{name: name, expr: l.expr, orig: l.orig, sum: l.sum, unchanged: unchanged[name]}
+	}
+	return work
+}
+
+// poolVocab is the vocabulary of a check's pooled solver sessions, built
+// from the full pre-analysis expression set.
+func (s *System) poolVocab() *sym.Vocab {
+	dom := make(fs.PathSet)
+	exprs := make([]fs.Expr, 0, s.g.Len())
+	for _, n := range s.g.Nodes() {
+		e := s.g.Label(n).expr
+		exprs = append(exprs, e)
+		dom.AddAll(fs.Dom(e))
+	}
+	return sym.NewVocab(dom, exprs...)
 }
 
 // replay applies the two orders (plus eliminated resources, in reverse
@@ -498,70 +537,130 @@ func minimizeInput(e1, e2 fs.Expr, in fs.State, keepWellFormed bool) fs.State {
 	return min
 }
 
-// eliminate repeatedly removes fringe resources (no dependents) that
-// commute with every incomparable resource, returning them in removal
-// order. Each round first batches the candidate pairs it is about to ask
-// and fans the semantic-commutativity queries across the worker pool;
-// the removal pass itself stays sequential and identical to the
-// single-threaded analysis, so the removal order — which replay depends
-// on — is the same at any parallelism.
-func eliminate(wg *graph.Graph[*workNode], cc *commuteChecker) []*workNode {
+// eliminate removes fringe resources (no dependents) that commute with
+// every incomparable resource, returning them in removal order together
+// with the set of survivors. g is only read; work holds the check's
+// labels, indexed by node handle.
+//
+// It is a worklist form of section 4.4's round-based elimination and
+// produces the same removal order, survivors and semantic queries:
+//
+//   - A round scans fringe nodes in insertion order; a node that becomes
+//     fringe mid-round is examined in this round when it lies after the
+//     scan position, else in the next. Rounds repeat until one removes
+//     nothing.
+//   - A node is tested only against its commute.Index candidates — the
+//     live non-ancestors whose summaries conflict syntactically with its
+//     own — in insertion order, stopping at the first that does not
+//     commute (its blocker). Every other pair commutes syntactically, so
+//     skipping it changes no verdict and asks no query.
+//   - A blocked node is examined again only when its blocker is removed,
+//     resuming after it: removals never add candidates, and every verdict
+//     before the blocker is memoized. (Commutation is symmetric, so a
+//     blocker cannot itself be removed while the node it blocks lives;
+//     the wake-up keeps the scan exact without relying on that.)
+//   - Ancestor sets come from r, computed once: removing nodes without
+//     dependents never changes reachability among the survivors.
+//
+// With semantic commutativity at Parallelism > 1, each round starts by
+// fanning across the worker pool the candidate pairs of every fringe node
+// not prefetched before — the pairs the sequential scan may ask.
+func eliminate(g *graph.Graph[*node], work []*workNode, r *graph.Reach, cc *commuteChecker) ([]*workNode, graph.Bits, error) {
+	n := g.Cap()
+	sums := make([]*commute.Summary, n)
+	outdeg := make([]int, n)
+	alive := graph.NewBits(n)
+	cur, next := graph.NewBits(n), graph.NewBits(n)
+	for _, v := range g.Nodes() {
+		sums[v] = work[v].sum
+		outdeg[v] = g.OutDegree(v)
+		alive.Set(v)
+		if outdeg[v] == 0 {
+			cur.Set(v)
+		}
+	}
+	ix := commute.NewIndex(sums)
+	resume := make([]graph.Node, n)              // where a blocked node's scan continues
+	blocked := make(map[graph.Node][]graph.Node) // blocker -> nodes it blocks
+	prefetched := graph.NewBits(n)
+	cand := graph.NewBits(n)
+
+	// candidates fills cand with v's live, incomparable conflict candidates.
+	candidates := func(v graph.Node) graph.Bits {
+		clear(cand)
+		anc := r.Ancestors(v)
+		ix.Candidates(int(v), func(j int) {
+			u := graph.Node(j)
+			if u != v && alive.Has(u) && !anc.Has(u) {
+				cand.Set(u)
+			}
+		})
+		return cand
+	}
+
 	var removed []*workNode
 	for {
-		// Batch this round's candidate queries: every fringe node against
-		// every incomparable node, as of the round-start graph. The
-		// sequential pass below may skip some (early break on the first
-		// conflict) or add some (nodes that become fringe mid-round);
-		// prefetching a near-exact superset is only a cache warm-up and
-		// cannot change any verdict.
 		if cc.semantic && cc.workers > 1 {
 			var pairs []pair
-			for _, v := range wg.Nodes() {
-				if wg.OutDegree(v) != 0 {
+			for _, v := range g.Nodes() {
+				if !alive.Has(v) || outdeg[v] != 0 || prefetched.Has(v) {
 					continue
 				}
-				anc := wg.Ancestors(v)
-				for _, u := range wg.Nodes() {
-					if u == v {
-						continue
-					}
-					if _, isAnc := anc[u]; isAnc {
-						continue
-					}
-					pairs = append(pairs, pair{wg.Label(v), wg.Label(u)})
+				prefetched.Set(v)
+				c := candidates(v)
+				for u := c.Next(0); u >= 0; u = c.Next(u + 1) {
+					pairs = append(pairs, pair{work[v], work[u]})
 				}
 			}
 			cc.prefetch(pairs)
 		}
 
 		changed := false
-		for _, v := range wg.Nodes() {
-			if wg.OutDegree(v) != 0 {
-				continue
+		for v := cur.Next(0); v >= 0; v = cur.Next(v + 1) {
+			if err := cc.err(); err != nil {
+				return nil, nil, err
 			}
-			anc := wg.Ancestors(v)
+			c := candidates(v)
 			ok := true
-			for _, u := range wg.Nodes() {
-				if u == v {
-					continue
-				}
-				if _, isAnc := anc[u]; isAnc {
-					continue
-				}
-				if !cc.commutes(wg.Label(v), wg.Label(u)) {
+			for u := c.Next(resume[v]); u >= 0; u = c.Next(u + 1) {
+				if !cc.commutes(work[v], work[u]) {
+					resume[v] = u + 1
+					blocked[u] = append(blocked[u], v)
 					ok = false
 					break
 				}
 			}
-			if ok {
-				removed = append(removed, wg.Label(v))
-				wg.Remove(v)
-				changed = true
+			if !ok {
+				continue
 			}
+			removed = append(removed, work[v])
+			alive.Clear(v)
+			changed = true
+			wake := func(w graph.Node) {
+				if w > v {
+					cur.Set(w)
+				} else {
+					next.Set(w)
+				}
+			}
+			g.EachPred(v, func(p graph.Node) {
+				if outdeg[p]--; outdeg[p] == 0 {
+					wake(p)
+				}
+			})
+			for _, w := range blocked[v] {
+				wake(w)
+			}
+			delete(blocked, v)
+		}
+		if err := cc.err(); err != nil {
+			return nil, nil, err
 		}
 		if !changed {
-			return removed
+			return removed, alive, nil
 		}
+		clear(cur)
+		cur, next = next, cur
 	}
 }
 
@@ -569,23 +668,27 @@ func eliminate(wg *graph.Graph[*workNode], cc *commuteChecker) []*workNode {
 // other resource touches. Returns the number of pruned paths and, when
 // intern is set, the hash-consing hits from re-canonicalizing the rebuilt
 // models (pruning shrinks trees, so most subtrees are already canonical).
-func pruneGraph(wg *graph.Graph[*workNode], intern bool) (int, int64) {
+func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (int, int64, error) {
 	nodes := wg.Nodes()
-	// Count how many resources touch each path.
+	// Count how many resources touch each path, and how many observe each
+	// directory's child-set.
 	touchers := make(map[fs.Path]int)
+	observers := make(map[fs.Path]int)
 	for _, n := range nodes {
-		for p := range wg.Label(n).sum.Paths() {
+		sum := wg.Label(n).sum
+		for p := range sum.Paths() {
 			touchers[p]++
 		}
-		for d := range wg.Label(n).sum.ChildObserved() {
-			// Observing the children of d counts as touching every
-			// modeled child of d; handled below per candidate.
-			_ = d
+		for d := range sum.ChildObserved() {
+			observers[d]++
 		}
 	}
 	pruned := 0
 	var internHits int64
 	for _, n := range nodes {
+		if err := cc.err(); err != nil {
+			return 0, 0, err
+		}
 		wn := wg.Label(n)
 		defs := prune.DefinitiveWrites(wn.expr)
 		expr := wn.expr
@@ -599,17 +702,11 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool) (int, int64) {
 			}
 			// No other resource may observe p's presence through its
 			// parent's child-set.
-			shared := false
-			for _, m := range nodes {
-				if m == n {
-					continue
-				}
-				if wg.Label(m).sum.ObservesChildrenOf(p.Parent()) {
-					shared = true
-					break
-				}
+			others := observers[p.Parent()]
+			if wn.sum.ObservesChildrenOf(p.Parent()) {
+				others--
 			}
-			if shared {
+			if others > 0 {
 				continue
 			}
 			next, ok := prune.Prune(p, expr)
@@ -626,55 +723,79 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool) (int, int64) {
 				expr = h
 				internHits += st.Hits
 			}
-			wg.SetLabel(n, &workNode{name: wn.name, expr: expr, orig: wn.orig, sum: commute.Analyze(expr), unchanged: wn.unchanged})
+			sum := commute.Analyze(expr)
+			// Later resources see this one's pruned child-set observations.
+			for d := range wn.sum.ChildObserved() {
+				observers[d]--
+			}
+			for d := range sum.ChildObserved() {
+				observers[d]++
+			}
+			wg.SetLabel(n, &workNode{name: wn.name, expr: expr, orig: wn.orig, sum: sum, unchanged: wn.unchanged})
 		}
 	}
-	return pruned, internHits
+	return pruned, internHits, nil
 }
 
 // enumerate explores the POR-reduced linearizations of wg, applying each
 // resource's model symbolically (ΦG of figures 7 and 9a). It returns the
 // symbolic output state and resource order of every explored
-// linearization.
-func enumerate(wg *graph.Graph[*workNode], en *sym.Encoder, input *sym.State, opts Options, deadline time.Time, cc *commuteChecker) ([]*sym.State, [][]graph.Node, error) {
+// linearization. r is the reachability of the graph wg was induced from.
+func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, input *sym.State, opts Options, deadline time.Time, cc *commuteChecker) ([]*sym.State, [][]graph.Node, error) {
 	nodes := wg.Nodes()
 	idx := make(map[graph.Node]int, len(nodes))
 	for i, n := range nodes {
 		idx[n] = i
 	}
-	// Pairwise commutativity matrix and descendant sets. Every upper-
-	// triangle entry is needed, so the pairs fan across the worker pool
-	// directly (no early exits to preserve).
-	canCommute := make([][]bool, len(nodes))
+	// Pairwise commutativity matrix. Only the pairs the path index names
+	// can fail to commute; they fan across the worker pool directly (no
+	// early exits to preserve), in the matrix's row-major order.
+	conflict := make([]graph.Bits, len(nodes))
 	for i := range nodes {
-		canCommute[i] = make([]bool, len(nodes))
+		conflict[i] = graph.NewBits(len(nodes))
+	}
+	canCommute := func(i, j int) bool {
+		return opts.Commutativity && !conflict[i].Has(graph.Node(j))
 	}
 	if opts.Commutativity {
+		sums := make([]*commute.Summary, len(nodes))
+		for i, n := range nodes {
+			sums[i] = wg.Label(n).sum
+		}
+		ix := commute.NewIndex(sums)
 		var pairs [][2]int
+		row := graph.NewBits(len(nodes))
 		for i := range nodes {
-			for j := i + 1; j < len(nodes); j++ {
-				pairs = append(pairs, [2]int{i, j})
+			clear(row)
+			ix.Candidates(i, func(j int) {
+				if j > i {
+					row.Set(graph.Node(j))
+				}
+			})
+			for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
+				pairs = append(pairs, [2]int{i, int(j)})
 			}
 		}
+		verdicts := make([]bool, len(pairs))
 		runParallel(cc.ctx, cc.workers, len(pairs), func(k int) {
-			i, j := pairs[k][0], pairs[k][1]
-			v := cc.commutes(wg.Label(nodes[i]), wg.Label(nodes[j]))
-			canCommute[i][j] = v
-			canCommute[j][i] = v
+			verdicts[k] = cc.commutes(wg.Label(nodes[pairs[k][0]]), wg.Label(nodes[pairs[k][1]]))
 		})
 		if err := cc.err(); err != nil {
 			// A worker panicked or the caller canceled: the matrix may be
 			// partial, so abort instead of enumerating over it.
 			return nil, nil, err
 		}
+		for k, p := range pairs {
+			if !verdicts[k] {
+				conflict[p[0]].Set(graph.Node(p[1]))
+				conflict[p[1]].Set(graph.Node(p[0]))
+			}
+		}
 	}
-	desc := make([]map[graph.Node]struct{}, len(nodes))
-	for i, n := range nodes {
-		desc[i] = wg.Descendants(n)
-	}
-
+	succs := make([][]graph.Node, len(nodes))
 	indeg := make(map[graph.Node]int, len(nodes))
-	for _, n := range nodes {
+	for i, n := range nodes {
+		succs[i] = wg.Succs(n)
 		indeg[n] = wg.InDegree(n)
 	}
 	remaining := make(map[graph.Node]bool, len(nodes))
@@ -735,10 +856,10 @@ func enumerate(wg *graph.Graph[*workNode], en *sym.Encoder, input *sym.State, op
 					if m == e || !remaining[m] {
 						continue
 					}
-					if _, isDesc := desc[idx[e]][m]; isDesc {
-						continue
+					if r.IsAncestor(e, m) {
+						continue // m is a descendant of e
 					}
-					if !canCommute[idx[e]][idx[m]] {
+					if !canCommute(idx[e], idx[m]) {
 						pivot = false
 						break
 					}
@@ -753,19 +874,19 @@ func enumerate(wg *graph.Graph[*workNode], en *sym.Encoder, input *sym.State, op
 		for branch, n := range ready {
 			childSleep := make(map[graph.Node]bool)
 			for s := range accumulated {
-				if canCommute[idx[s]][idx[n]] {
+				if canCommute(idx[s], idx[n]) {
 					childSleep[s] = true
 				}
 			}
 			remaining[n] = false
-			for _, m := range wg.Succs(n) {
+			for _, m := range succs[idx[n]] {
 				indeg[m]--
 			}
 			order = append(order, n)
 			err := rec(en.Apply(wg.Label(n).expr, st), childSleep)
 			order = order[:len(order)-1]
 			remaining[n] = true
-			for _, m := range wg.Succs(n) {
+			for _, m := range succs[idx[n]] {
 				indeg[m]++
 			}
 			if err != nil {

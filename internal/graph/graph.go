@@ -172,6 +172,9 @@ func (g *Graph[L]) CheckAcyclic() error {
 // for graphs whose labels do not print usefully with fmt (e.g. pointers to
 // compiled resources).
 func (g *Graph[L]) CheckAcyclicNamed(name func(L) string) error {
+	if g.eachTopo(func(Node) {}) {
+		return nil
+	}
 	cycle := g.Cycle()
 	if cycle == nil {
 		return nil

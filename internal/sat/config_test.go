@@ -118,6 +118,9 @@ func TestStopFlag(t *testing.T) {
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("Solve with stop set = %v, want unknown", got)
 	}
+	if !s.dirty {
+		t.Error("preprocessing interrupted by the stop flag left the database marked clean")
+	}
 	stop.Store(false)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("Solve after clearing stop = %v, want unsat", got)

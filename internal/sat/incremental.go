@@ -92,6 +92,9 @@ func (s *Solver) Simplify() bool {
 		s.unsat = true
 		return false
 	}
+	if s.stopRequested() {
+		return true // interrupted: stay dirty, Solve reports Unknown
+	}
 	if units && !s.removeSatisfiedLoop() {
 		s.unsat = true
 		return false
@@ -189,6 +192,9 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 	sigs := make([]uint64, len(s.clauses))
 	occ := make(map[Lit][]clauseRef)
 	for i := range s.clauses {
+		if i%4096 == 0 && s.stopRequested() {
+			return false, true
+		}
 		c := &s.clauses[i]
 		if c.lits == nil || c.learnt {
 			continue
@@ -204,6 +210,11 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 	}
 	inC := make(map[Lit]bool)
 	for i := s.subsumeHead; i < len(s.clauses); i++ {
+		if s.stopRequested() {
+			// Every step so far preserved the models; the caller leaves the
+			// database dirty so the next Solve finishes the pass.
+			return units, true
+		}
 		c := &s.clauses[i]
 		if c.lits == nil || c.learnt || len(c.lits) > subsumeMaxLen {
 			continue

@@ -266,10 +266,14 @@ func (s *Solver) randFloat() float64 {
 }
 
 // SetStop installs (or with nil clears) a cancellation flag checked on
-// every Solve iteration: when the flag becomes true, Solve backtracks to
+// every Solve iteration and between clauses of the root-level
+// subsumption pass: when the flag becomes true, Solve backtracks to
 // the root level and returns Unknown. The solver remains usable — losing
 // a portfolio race does not poison the session.
 func (s *Solver) SetStop(f *atomic.Bool) { s.stop = f }
+
+// stopRequested reports whether the installed stop flag is set.
+func (s *Solver) stopRequested() bool { return s.stop != nil && s.stop.Load() }
 
 // ConfigName returns the name of the solver's search configuration.
 func (s *Solver) ConfigName() string { return s.cfg.Name }
@@ -727,7 +731,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 
 	for {
-		if s.stop != nil && s.stop.Load() {
+		if s.stopRequested() {
 			s.cancelUntil(0)
 			return Unknown
 		}

@@ -15,34 +15,64 @@ type PathState struct {
 	Content smt.Enum
 }
 
+// stateChunk is the number of path states in one copy-on-write chunk of
+// a State.
+const stateChunk = 32
+
+type chunk [stateChunk]PathState
+
 // State is a logical state Σ (figure 7): an ok formula plus a symbolic
-// filesystem over the vocabulary's path domain. States are immutable;
+// filesystem over the vocabulary's path domain. The filesystem is an
+// array indexed by each path's position in the Vocab, split into
+// fixed-size chunks that states share copy-on-write: updating one path
+// copies the one chunk holding it, and merging two branch states reuses
+// every chunk the branches left identical. States are immutable;
 // Encoder.Apply returns new states.
 type State struct {
-	Ok smt.T
-	fs map[fs.Path]PathState
+	Ok     smt.T
+	v      *Vocab
+	chunks []*chunk
 }
 
-// Lookup returns the symbolic state of p.
+// newState returns a state over v's domain whose path states come from
+// init, called once per path in domain order.
+func newState(v *Vocab, ok smt.T, init func(p fs.Path) PathState) *State {
+	st := &State{Ok: ok, v: v, chunks: make([]*chunk, (len(v.Paths)+stateChunk-1)/stateChunk)}
+	for k := range st.chunks {
+		st.chunks[k] = new(chunk)
+	}
+	for i, p := range v.Paths {
+		st.chunks[i/stateChunk][i%stateChunk] = init(p)
+	}
+	return st
+}
+
+// Lookup returns the symbolic state of p, which must be in the domain.
 func (st *State) Lookup(p fs.Path) PathState {
-	ps, ok := st.fs[p]
+	i := st.index(p)
+	return st.chunks[i/stateChunk][i%stateChunk]
+}
+
+func (st *State) index(p fs.Path) int {
+	i, ok := st.v.pathIdx[p]
 	if !ok {
 		panic(fmt.Sprintf("sym: path %s not in state", p))
 	}
-	return ps
+	return i
 }
 
 func (st *State) with(p fs.Path, ps PathState) *State {
-	out := &State{Ok: st.Ok, fs: make(map[fs.Path]PathState, len(st.fs))}
-	for q, v := range st.fs {
-		out.fs[q] = v
-	}
-	out.fs[p] = ps
-	return out
+	i := st.index(p)
+	chunks := make([]*chunk, len(st.chunks))
+	copy(chunks, st.chunks)
+	c := *chunks[i/stateChunk]
+	c[i%stateChunk] = ps
+	chunks[i/stateChunk] = &c
+	return &State{Ok: st.Ok, v: st.v, chunks: chunks}
 }
 
 func (st *State) withOk(ok smt.T) *State {
-	return &State{Ok: ok, fs: st.fs}
+	return &State{Ok: ok, v: st.v, chunks: st.chunks}
 }
 
 // Encoder translates FS expressions into formulas over a Solver.
@@ -66,22 +96,19 @@ func NewEncoderConfig(v *Vocab, cfg sat.Config) *Encoder {
 // path and the constant initial-content token ι_p. Contents need no
 // variables — they are only moved around by the program, never branched on.
 func (en *Encoder) FreshInputState(prefix string) *State {
-	st := &State{Ok: smt.TrueT, fs: make(map[fs.Path]PathState, len(en.V.Paths))}
-	for _, p := range en.V.Paths {
-		st.fs[p] = PathState{
+	return newState(en.V, smt.TrueT, func(p fs.Path) PathState {
+		return PathState{
 			Kind:    en.S.EnumVar(en.V.KindSort, fmt.Sprintf("%s:kind:%s", prefix, p)),
 			Content: en.S.EnumConst(en.V.ContentSort, en.V.InitToken(p)),
 		}
-	}
-	return st
+	})
 }
 
 // ConstState encodes a concrete filesystem as a constant logical state.
 // Paths of the domain absent from s are encoded as does-not-exist; file
 // contents must be literals of the vocabulary or concretized init tokens.
 func (en *Encoder) ConstState(s fs.State) *State {
-	st := &State{Ok: smt.TrueT, fs: make(map[fs.Path]PathState, len(en.V.Paths))}
-	for _, p := range en.V.Paths {
+	return newState(en.V, smt.TrueT, func(p fs.Path) PathState {
 		kind := KindNone
 		tok := canonicalToken
 		if c, ok := s[p]; ok {
@@ -92,12 +119,11 @@ func (en *Encoder) ConstState(s fs.State) *State {
 				tok = en.V.LiteralToken(c.Data)
 			}
 		}
-		st.fs[p] = PathState{
+		return PathState{
 			Kind:    en.S.EnumConst(en.V.KindSort, kind),
 			Content: en.S.EnumConst(en.V.ContentSort, tok),
 		}
-	}
-	return st
+	})
 }
 
 // isDir returns the formula "p is a directory in st". The root is always a
@@ -217,21 +243,33 @@ func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 	}
 }
 
-// merge joins two branch states under condition c.
+// merge joins two branch states under condition c. Chunks the branches
+// share, or whose path states are syntactically identical, are reused
+// rather than copied.
 func (en *Encoder) merge(c smt.T, a, b *State) *State {
-	out := &State{
-		Ok: en.S.Ite(c, a.Ok, b.Ok),
-		fs: make(map[fs.Path]PathState, len(a.fs)),
-	}
-	for p, pa := range a.fs {
-		pb := b.fs[p]
-		if pa.Kind.Same(pb.Kind) && pa.Content.Same(pb.Content) {
-			out.fs[p] = pa
+	out := &State{Ok: en.S.Ite(c, a.Ok, b.Ok), v: a.v, chunks: make([]*chunk, len(a.chunks))}
+	n := len(a.v.Paths)
+	for k, ca := range a.chunks {
+		cb := b.chunks[k]
+		out.chunks[k] = ca
+		if ca == cb {
 			continue
 		}
-		out.fs[p] = PathState{
-			Kind:    en.S.EnumIte(c, pa.Kind, pb.Kind),
-			Content: en.S.EnumIte(c, pa.Content, pb.Content),
+		var merged *chunk
+		for i := 0; i < stateChunk && k*stateChunk+i < n; i++ {
+			pa, pb := ca[i], cb[i]
+			if pa.Kind.Same(pb.Kind) && pa.Content.Same(pb.Content) {
+				continue
+			}
+			if merged == nil {
+				merged = new(chunk)
+				*merged = *ca
+				out.chunks[k] = merged
+			}
+			merged[i] = PathState{
+				Kind:    en.S.EnumIte(c, pa.Kind, pb.Kind),
+				Content: en.S.EnumIte(c, pa.Content, pb.Content),
+			}
 		}
 	}
 	return out
