@@ -42,6 +42,32 @@ func TestFleetCheckHonorsContext(t *testing.T) {
 	leakcheck.Assert(t, base)
 }
 
+// TestFleetLoadHonorsContext: compiling a 5,000-resource fleet, whose
+// class chains expand to millions of edges, stops within a second under a
+// 100 ms context, with an error wrapping ErrCanceled, and leaves no
+// goroutine behind.
+func TestFleetLoadHonorsContext(t *testing.T) {
+	src := benchmarks.Fleet(5000, benchmarks.FleetNone, 1)
+	base := leakcheck.Take()
+	opts := core.DefaultOptions()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	opts.Context = ctx
+	start := time.Now()
+	sys, err := core.Load(src, opts)
+	took := time.Since(start)
+	if err == nil {
+		t.Fatalf("Load compiled %d resources under a 100ms context", sys.Size())
+	}
+	if !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("err = %v, want one wrapping core.ErrCanceled", err)
+	}
+	if took > time.Second {
+		t.Errorf("Load returned after %v, want at most 1s", took)
+	}
+	leakcheck.Assert(t, base)
+}
+
 func deadlineOf(ctx context.Context) time.Time {
 	d, _ := ctx.Deadline()
 	return d

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/commute"
@@ -34,7 +35,7 @@ type Options struct {
 	// or "centos".
 	Platform string
 	// Provider supplies package listings; defaults to the built-in
-	// synthetic catalog.
+	// synthetic catalog, built once per process and shared read-only.
 	Provider pkgdb.Provider
 	// Facts overrides the platform-derived facts.
 	Facts map[string]puppet.Value
@@ -172,12 +173,18 @@ func DefaultOptions() Options {
 	}
 }
 
+// defaultCatalog is the built-in catalog every Options without a Provider
+// shares. Building it costs tens of thousands of allocations, and
+// compilation only reads it, so one per process serves every check.
+// Callers that Add packages build their own with pkgdb.DefaultCatalog.
+var defaultCatalog = sync.OnceValue(func() pkgdb.Provider { return pkgdb.DefaultCatalog() })
+
 func (o Options) withDefaults() Options {
 	if o.Platform == "" {
 		o.Platform = "ubuntu"
 	}
 	if o.Provider == nil {
-		o.Provider = pkgdb.DefaultCatalog()
+		o.Provider = defaultCatalog()
 	}
 	if o.MaxSequences == 0 {
 		o.MaxSequences = 20000
@@ -260,12 +267,28 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		provider = pkgdb.BindContext(opts.Context, provider)
 	}
 	compiler := resources.NewCompiler(provider, opts.Platform)
+	// canceled polls the caller's context: a fleet-sized catalog takes
+	// seconds to compile and expand, so compilation stops on cancellation
+	// like the checks do.
+	canceled := func() error {
+		if opts.Context == nil {
+			return nil
+		}
+		if cerr := opts.Context.Err(); cerr != nil {
+			return fmt.Errorf("%w: %v", ErrCanceled, cerr)
+		}
+		return nil
+	}
 
+	realized := cat.Realized()
 	g := graph.New[*node]()
-	byKey := make(map[string]graph.Node)
-	byRes := make(map[*puppet.Resource]graph.Node)
+	byKey := make(map[string]graph.Node, len(realized))
+	byRes := make(map[*puppet.Resource]graph.Node, len(realized))
 	var internHits, internMisses int64
-	for _, r := range cat.Realized() {
+	for _, r := range realized {
+		if err := canceled(); err != nil {
+			return nil, err
+		}
 		expr, err := compiler.Compile(r)
 		if err != nil {
 			return nil, err
@@ -289,7 +312,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 
 	// nodeOf resolves a resource to its vertex. References expand to the
 	// catalog's own resource values, so the pointer lookup answers all but
-	// unresolved ones without rendering a key per edge.
+	// unresolved ones without rendering a key.
 	nodeOf := func(r *puppet.Resource) (graph.Node, bool) {
 		if n, ok := byRes[r]; ok {
 			return n, true
@@ -297,20 +320,42 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		n, ok := byKey[r.Key()]
 		return n, ok
 	}
-	// addEdge renders what (the edge's origin, for error messages) only
-	// when the edge fails: a class chain expands to hundreds of thousands
-	// of edges.
-	addEdge := func(from, to *puppet.Resource, what func() string) error {
-		u, uok := nodeOf(from)
-		v, vok := nodeOf(to)
-		if !uok || !vok {
-			return fmt.Errorf("%s: unresolved resource reference", what())
+	// nodesOf resolves an expanded reference once, so a class chain's
+	// |from|×|to| edges go to the graph store as plain handles.
+	nodesOf := func(rs []*puppet.Resource) ([]graph.Node, bool) {
+		out := make([]graph.Node, len(rs))
+		for i, r := range rs {
+			n, ok := nodeOf(r)
+			if !ok {
+				return nil, false
+			}
+			out[i] = n
 		}
-		if u == v {
-			return nil // self-dependencies via containers are ignored
-		}
-		if err := g.AddEdge(u, v); err != nil {
-			return fmt.Errorf("%s: %w", what(), err)
+		return out, true
+	}
+	// connect adds an edge from every vertex of us to every vertex of vs,
+	// ignoring self-dependencies (via containers), and polls for
+	// cancellation every edgePoll edges: one class chain can expand to
+	// hundreds of thousands of them. what renders the edges' origin, for
+	// error messages, only when an edge fails.
+	const edgePoll = 1 << 16
+	pending := 0
+	connect := func(us, vs []graph.Node, what func() string) error {
+		for _, u := range us {
+			for _, v := range vs {
+				if u == v {
+					continue
+				}
+				if err := g.AddEdge(u, v); err != nil {
+					return fmt.Errorf("%s: %w", what(), err)
+				}
+			}
+			if pending += len(vs); pending >= edgePoll {
+				pending = 0
+				if err := canceled(); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
@@ -318,6 +363,9 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 	// Dependency edges from metaparameters and chaining arrows, expanding
 	// class/define-instance references to their contents.
 	for _, d := range cat.Deps {
+		if err := canceled(); err != nil {
+			return nil, err
+		}
 		if d.From.Type == "stage" || d.To.Type == "stage" {
 			continue // handled by stage elimination below
 		}
@@ -329,20 +377,30 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dependency at %s: %w", d.Pos, err)
 		}
+		if len(froms) == 0 || len(tos) == 0 {
+			continue
+		}
 		what := func() string { return fmt.Sprintf("dependency at %s", d.Pos) }
-		for _, f := range froms {
-			for _, t := range tos {
-				if err := addEdge(f, t, what); err != nil {
-					return nil, err
-				}
-			}
+		us, uok := nodesOf(froms)
+		vs, vok := nodesOf(tos)
+		if !uok || !vok {
+			return nil, fmt.Errorf("%s: unresolved resource reference", what())
+		}
+		if err := connect(us, vs, what); err != nil {
+			return nil, err
 		}
 	}
 
 	// Autorequire (section 3.1 footnote): a file resource auto-requires
-	// the file resource managing its parent directory.
-	fileByPath := make(map[fs.Path]*puppet.Resource)
-	for _, r := range cat.Realized() {
+	// the file resource managing its parent directory. Edges go in in
+	// catalog order, so insertion is deterministic.
+	type fileNode struct {
+		path fs.Path
+		n    graph.Node
+	}
+	var files []fileNode
+	fileByPath := make(map[fs.Path]graph.Node)
+	for _, r := range realized {
 		if r.Type != "file" {
 			continue
 		}
@@ -351,13 +409,18 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 			path = r.Title
 		}
 		if strings.HasPrefix(path, "/") {
-			fileByPath[fs.ParsePath(path)] = r
+			f := fileNode{fs.ParsePath(path), byRes[r]}
+			files = append(files, f)
+			fileByPath[f.path] = f.n
 		}
 	}
-	for p, child := range fileByPath {
-		if parent, ok := fileByPath[p.Parent()]; ok {
-			if err := addEdge(parent, child, func() string { return "autorequire" }); err != nil {
-				return nil, err
+	for _, f := range files {
+		if fileByPath[f.path] != f.n {
+			continue // a later resource manages the same path
+		}
+		if parent, ok := fileByPath[f.path.Parent()]; ok && parent != f.n {
+			if err := g.AddEdge(parent, f.n); err != nil {
+				return nil, fmt.Errorf("autorequire: %w", err)
 			}
 		}
 	}
@@ -365,7 +428,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 	// Stage elimination (section 3.1): order the declared stages by their
 	// own dependencies, then add edges between the member resources of
 	// ordered stage pairs.
-	if err := applyStages(cat, g, byKey); err != nil {
+	if err := applyStages(cat, byRes, connect); err != nil {
 		return nil, err
 	}
 
@@ -406,8 +469,9 @@ func describeCycle(g *graph.Graph[*node]) error {
 	return &CycleError{Resources: ce.Names}
 }
 
-// applyStages builds the stage DAG and adds inter-stage resource edges.
-func applyStages(cat *puppet.Catalog, g *graph.Graph[*node], byKey map[string]graph.Node) error {
+// applyStages builds the stage DAG and adds inter-stage resource edges
+// through connect.
+func applyStages(cat *puppet.Catalog, byRes map[*puppet.Resource]graph.Node, connect func(us, vs []graph.Node, what func() string) error) error {
 	stages := cat.Stages()
 	if len(stages) == 0 {
 		// Without stage declarations every resource is in main; a resource
@@ -468,18 +532,19 @@ func applyStages(cat *puppet.Catalog, g *graph.Graph[*node], byKey map[string]gr
 	// Members per stage.
 	members := make(map[string][]graph.Node)
 	for _, r := range cat.Realized() {
-		members[r.Stage] = append(members[r.Stage], byKey[r.Key()])
+		members[r.Stage] = append(members[r.Stage], byRes[r])
 	}
 	// For every ordered stage pair (transitively), add all member edges.
-	for name, n := range stageNode {
-		for later := range sg.Descendants(n) {
-			laterName := sg.Label(later)
-			for _, u := range members[name] {
-				for _, v := range members[laterName] {
-					if err := g.AddEdge(u, v); err != nil {
-						return err
-					}
-				}
+	for _, n := range sg.Nodes() {
+		after := sg.Descendants(n)
+		for _, later := range sg.Nodes() {
+			if _, ok := after[later]; !ok {
+				continue
+			}
+			name, laterName := sg.Label(n), sg.Label(later)
+			what := func() string { return fmt.Sprintf("stage %s before %s", name, laterName) }
+			if err := connect(members[name], members[laterName], what); err != nil {
+				return err
 			}
 		}
 	}

@@ -2,8 +2,13 @@ package core
 
 import (
 	"repro/internal/graph"
+	"repro/internal/pkgdb"
 	"repro/internal/qcache"
 )
+
+// ProviderOf returns the package provider s was compiled against, after
+// defaults.
+func ProviderOf(s *System) pkgdb.Provider { return s.opts.Provider }
 
 // EliminationRun is what one elimination pass did: the removal order, the
 // residual graph and the semantic-commutativity work it asked for.

@@ -6,42 +6,55 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Node identifies a vertex of a Graph.
+// Node identifies a vertex of a Graph. Handles are dense: Add issues
+// 0, 1, 2, … in order, so insertion order is handle order.
 type Node int
 
 // Graph is a mutable directed graph with labeled vertices. An edge u → v
 // means v depends on u (u must be applied before v). Graphs intended as
 // resource graphs must be acyclic; CheckAcyclic reports violations.
+//
+// Storage is handle-indexed: labels and liveness are slices, and each
+// vertex's successors and predecessors are one sorted, duplicate-free
+// slice per direction. Every method that only reads leaves the graph
+// untouched, so concurrent readers need no synchronization.
 type Graph[L any] struct {
-	labels  map[Node]L
-	out     map[Node]map[Node]struct{}
-	in      map[Node]map[Node]struct{}
-	nextID  Node
-	ordered []Node // insertion order for deterministic iteration
+	labels []L      // zero for removed vertices
+	live   []bool   // live[n]: n was added and not removed
+	out    [][]Node // out[n]: sorted dependents of n
+	in     [][]Node // in[n]: sorted dependencies of n
+	nodes  int      // live vertices
+	edges  int
 }
 
 // New creates an empty graph.
-func New[L any]() *Graph[L] {
-	return &Graph[L]{
-		labels: make(map[Node]L),
-		out:    make(map[Node]map[Node]struct{}),
-		in:     make(map[Node]map[Node]struct{}),
-	}
-}
+func New[L any]() *Graph[L] { return &Graph[L]{} }
 
 // Add inserts a vertex with the given label and returns its handle.
 func (g *Graph[L]) Add(label L) Node {
-	n := g.nextID
-	g.nextID++
-	g.labels[n] = label
-	g.out[n] = make(map[Node]struct{})
-	g.in[n] = make(map[Node]struct{})
-	g.ordered = append(g.ordered, n)
+	n := Node(len(g.labels))
+	g.labels = append(g.labels, label)
+	g.live = append(g.live, true)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	g.nodes++
 	return n
+}
+
+// has reports whether n is a live vertex.
+func (g *Graph[L]) has(n Node) bool { return uint(n) < uint(len(g.live)) && g.live[n] }
+
+// adj returns n's row of an adjacency table, or nil when n is not a
+// vertex handle.
+func adj(rows [][]Node, n Node) []Node {
+	if uint(n) < uint(len(rows)) {
+		return rows[n]
+	}
+	return nil
 }
 
 // AddEdge inserts the dependency edge u → v (v depends on u). Self-edges
@@ -50,94 +63,116 @@ func (g *Graph[L]) AddEdge(u, v Node) error {
 	if u == v {
 		return fmt.Errorf("graph: self-dependency on node %d", u)
 	}
-	if _, ok := g.labels[u]; !ok {
+	if !g.has(u) {
 		return fmt.Errorf("graph: unknown node %d", u)
 	}
-	if _, ok := g.labels[v]; !ok {
+	if !g.has(v) {
 		return fmt.Errorf("graph: unknown node %d", v)
 	}
-	g.out[u][v] = struct{}{}
-	g.in[v][u] = struct{}{}
+	var added bool
+	if g.out[u], added = insertSorted(g.out[u], v); added {
+		g.in[v], _ = insertSorted(g.in[v], u)
+		g.edges++
+	}
 	return nil
+}
+
+// insertSorted adds x to the sorted slice s unless present, reporting
+// whether it did. Ascending insertion is a plain append.
+func insertSorted(s []Node, x Node) ([]Node, bool) {
+	i := len(s)
+	if i > 0 && s[i-1] >= x {
+		var found bool
+		if i, found = slices.BinarySearch(s, x); found {
+			return s, false
+		}
+	}
+	return slices.Insert(s, i, x), true
+}
+
+// deleteSorted removes x from the sorted slice s, if present.
+func deleteSorted(s []Node, x Node) []Node {
+	if i, found := slices.BinarySearch(s, x); found {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 // HasEdge reports whether the edge u → v exists.
 func (g *Graph[L]) HasEdge(u, v Node) bool {
-	_, ok := g.out[u][v]
-	return ok
+	_, found := slices.BinarySearch(adj(g.out, u), v)
+	return found
 }
 
-// Label returns the label of n.
-func (g *Graph[L]) Label(n Node) L { return g.labels[n] }
+// Label returns the label of n, or the zero value when n is not a live
+// vertex.
+func (g *Graph[L]) Label(n Node) L {
+	if uint(n) < uint(len(g.labels)) {
+		return g.labels[n]
+	}
+	var zero L
+	return zero
+}
 
-// SetLabel replaces the label of n.
-func (g *Graph[L]) SetLabel(n Node, label L) { g.labels[n] = label }
+// SetLabel replaces the label of the live vertex n; it does nothing for
+// any other handle.
+func (g *Graph[L]) SetLabel(n Node, label L) {
+	if g.has(n) {
+		g.labels[n] = label
+	}
+}
 
 // Len returns the number of vertices.
-func (g *Graph[L]) Len() int { return len(g.labels) }
+func (g *Graph[L]) Len() int { return g.nodes }
 
 // NumEdges returns the number of edges.
-func (g *Graph[L]) NumEdges() int {
-	n := 0
-	for _, succ := range g.out {
-		n += len(succ)
-	}
-	return n
-}
+func (g *Graph[L]) NumEdges() int { return g.edges }
 
 // Nodes returns the vertices in insertion order.
 func (g *Graph[L]) Nodes() []Node {
-	out := make([]Node, 0, len(g.labels))
-	for _, n := range g.ordered {
-		if _, ok := g.labels[n]; ok {
-			out = append(out, n)
+	out := make([]Node, 0, g.nodes)
+	for n, ok := range g.live {
+		if ok {
+			out = append(out, Node(n))
 		}
 	}
 	return out
 }
 
 // Succs returns the direct dependents of n, sorted.
-func (g *Graph[L]) Succs(n Node) []Node { return sortedKeys(g.out[n]) }
+func (g *Graph[L]) Succs(n Node) []Node { return append([]Node{}, adj(g.out, n)...) }
 
 // Preds returns the direct dependencies of n, sorted.
-func (g *Graph[L]) Preds(n Node) []Node { return sortedKeys(g.in[n]) }
+func (g *Graph[L]) Preds(n Node) []Node { return append([]Node{}, adj(g.in, n)...) }
 
 // InDegree returns the number of dependencies of n.
-func (g *Graph[L]) InDegree(n Node) int { return len(g.in[n]) }
+func (g *Graph[L]) InDegree(n Node) int { return len(adj(g.in, n)) }
 
 // OutDegree returns the number of dependents of n.
-func (g *Graph[L]) OutDegree(n Node) int { return len(g.out[n]) }
+func (g *Graph[L]) OutDegree(n Node) int { return len(adj(g.out, n)) }
 
 // Remove deletes n and all incident edges.
 func (g *Graph[L]) Remove(n Node) {
-	for m := range g.out[n] {
-		delete(g.in[m], n)
+	if !g.has(n) {
+		return
 	}
-	for m := range g.in[n] {
-		delete(g.out[m], n)
+	for _, m := range g.out[n] {
+		g.in[m] = deleteSorted(g.in[m], n)
 	}
-	delete(g.out, n)
-	delete(g.in, n)
-	delete(g.labels, n)
+	for _, m := range g.in[n] {
+		g.out[m] = deleteSorted(g.out[m], n)
+	}
+	g.edges -= len(g.out[n]) + len(g.in[n])
+	g.out[n], g.in[n] = nil, nil
+	var zero L
+	g.labels[n] = zero
+	g.live[n] = false
+	g.nodes--
 }
 
 // Clone returns a deep copy sharing labels by value.
 func (g *Graph[L]) Clone() *Graph[L] {
-	c := New[L]()
-	c.nextID = g.nextID
-	c.ordered = append([]Node(nil), g.ordered...)
-	for n, l := range g.labels {
-		c.labels[n] = l
-		c.out[n] = make(map[Node]struct{}, len(g.out[n]))
-		c.in[n] = make(map[Node]struct{}, len(g.in[n]))
-	}
-	for n, succ := range g.out {
-		for m := range succ {
-			c.out[n][m] = struct{}{}
-			c.in[m][n] = struct{}{}
-		}
-	}
-	return c
+	return Induced(g, func(Node) bool { return true }, func(_ Node, l L) L { return l })
 }
 
 // CycleError reports one directed cycle found where the caller required a
@@ -193,13 +228,13 @@ func (g *Graph[L]) Cycle() []Node {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[Node]int, len(g.labels))
-	parent := make(map[Node]Node)
+	color := make([]int8, len(g.live))
+	parent := make([]Node, len(g.live))
 	var cycle []Node
 	var visit func(n Node) bool
 	visit = func(n Node) bool {
 		color[n] = gray
-		for _, m := range g.Succs(n) {
+		for _, m := range g.out[n] {
 			switch color[m] {
 			case white:
 				parent[m] = n
@@ -228,13 +263,19 @@ func (g *Graph[L]) Cycle() []Node {
 	return nil
 }
 
+// indegrees returns every vertex's in-degree, indexed by handle.
+func (g *Graph[L]) indegrees() []int {
+	indeg := make([]int, len(g.in))
+	for n, preds := range g.in {
+		indeg[n] = len(preds)
+	}
+	return indeg
+}
+
 // TopoSort returns one topological order (dependencies first). The graph
 // must be acyclic.
 func (g *Graph[L]) TopoSort() ([]Node, error) {
-	indeg := make(map[Node]int, len(g.labels))
-	for _, n := range g.Nodes() {
-		indeg[n] = g.InDegree(n)
-	}
+	indeg := g.indegrees()
 	var ready []Node
 	for _, n := range g.Nodes() {
 		if indeg[n] == 0 {
@@ -246,7 +287,7 @@ func (g *Graph[L]) TopoSort() ([]Node, error) {
 		n := ready[0]
 		ready = ready[1:]
 		order = append(order, n)
-		for _, m := range g.Succs(n) {
+		for _, m := range g.out[n] {
 			indeg[m]--
 			if indeg[m] == 0 {
 				ready = append(ready, m)
@@ -260,34 +301,26 @@ func (g *Graph[L]) TopoSort() ([]Node, error) {
 }
 
 // Ancestors returns the transitive dependencies of n (excluding n).
-func (g *Graph[L]) Ancestors(n Node) map[Node]struct{} {
-	seen := make(map[Node]struct{})
-	var visit func(Node)
-	visit = func(m Node) {
-		for p := range g.in[m] {
-			if _, ok := seen[p]; !ok {
-				seen[p] = struct{}{}
-				visit(p)
-			}
-		}
-	}
-	visit(n)
-	return seen
-}
+func (g *Graph[L]) Ancestors(n Node) map[Node]struct{} { return closure(g.in, n) }
 
 // Descendants returns the transitive dependents of n (excluding n).
-func (g *Graph[L]) Descendants(n Node) map[Node]struct{} {
+func (g *Graph[L]) Descendants(n Node) map[Node]struct{} { return closure(g.out, n) }
+
+// closure returns the vertices reachable from n along rows, excluding n
+// unless a cycle leads back to it.
+func closure(rows [][]Node, n Node) map[Node]struct{} {
 	seen := make(map[Node]struct{})
-	var visit func(Node)
-	visit = func(m Node) {
-		for p := range g.out[m] {
+	stack := []Node{n}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range adj(rows, m) {
 			if _, ok := seen[p]; !ok {
 				seen[p] = struct{}{}
-				visit(p)
+				stack = append(stack, p)
 			}
 		}
 	}
-	visit(n)
 	return seen
 }
 
@@ -295,39 +328,14 @@ func (g *Graph[L]) Descendants(n Node) map[Node]struct{} {
 // limit (returns limit when there are at least that many). This quantifies
 // the permutation blow-up of section 4.3.
 func (g *Graph[L]) CountLinearizations(limit int) int {
-	indeg := make(map[Node]int, len(g.labels))
-	for _, n := range g.Nodes() {
-		indeg[n] = g.InDegree(n)
+	if limit <= 0 {
+		return 0
 	}
 	count := 0
-	var rec func(remaining int)
-	rec = func(remaining int) {
-		if count >= limit {
-			return
-		}
-		if remaining == 0 {
-			count++
-			return
-		}
-		for _, n := range g.Nodes() {
-			if indeg[n] != 0 {
-				continue
-			}
-			indeg[n] = -1
-			for _, m := range g.Succs(n) {
-				indeg[m]--
-			}
-			rec(remaining - 1)
-			indeg[n] = 0
-			for _, m := range g.Succs(n) {
-				indeg[m]++
-			}
-			if count >= limit {
-				return
-			}
-		}
-	}
-	rec(g.Len())
+	g.Linearizations(limit, func([]Node) bool {
+		count++
+		return true
+	})
 	return count
 }
 
@@ -335,16 +343,14 @@ func (g *Graph[L]) CountLinearizations(limit int) int {
 // fn returns false or limit orders have been produced (limit ≤ 0 means
 // unbounded). It reports whether enumeration ran to completion.
 func (g *Graph[L]) Linearizations(limit int, fn func(order []Node) bool) bool {
-	indeg := make(map[Node]int, len(g.labels))
-	for _, n := range g.Nodes() {
-		indeg[n] = g.InDegree(n)
-	}
+	indeg := g.indegrees()
+	nodes := g.Nodes()
 	produced := 0
 	complete := true
-	order := make([]Node, 0, g.Len())
+	order := make([]Node, 0, len(nodes))
 	var rec func() bool
 	rec = func() bool {
-		if len(order) == g.Len() {
+		if len(order) == len(nodes) {
 			produced++
 			if !fn(append([]Node(nil), order...)) {
 				complete = false
@@ -356,19 +362,19 @@ func (g *Graph[L]) Linearizations(limit int, fn func(order []Node) bool) bool {
 			}
 			return true
 		}
-		for _, n := range g.Nodes() {
+		for _, n := range nodes {
 			if indeg[n] != 0 {
 				continue
 			}
 			indeg[n] = -1
-			for _, m := range g.Succs(n) {
+			for _, m := range g.out[n] {
 				indeg[m]--
 			}
 			order = append(order, n)
 			ok := rec()
 			order = order[:len(order)-1]
 			indeg[n] = 0
-			for _, m := range g.Succs(n) {
+			for _, m := range g.out[n] {
 				indeg[m]++
 			}
 			if !ok {
@@ -386,23 +392,15 @@ func (g *Graph[L]) Linearizations(limit int, fn func(order []Node) bool) bool {
 func (g *Graph[L]) Dot(name func(L) string) string {
 	var b strings.Builder
 	b.WriteString("digraph G {\n")
-	for _, n := range g.Nodes() {
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", n, name(g.Label(n)))
+	nodes := g.Nodes()
+	for _, n := range nodes {
+		fmt.Fprintf(&b, "  n%d [label=%q];\n", n, name(g.labels[n]))
 	}
-	for _, n := range g.Nodes() {
-		for _, m := range g.Succs(n) {
+	for _, n := range nodes {
+		for _, m := range g.out[n] {
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", n, m)
 		}
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func sortedKeys(m map[Node]struct{}) []Node {
-	out := make([]Node, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

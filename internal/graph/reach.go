@@ -43,12 +43,12 @@ func (b Bits) Next(from Node) Node {
 // Cap returns one more than the largest handle ever issued: every vertex
 // handle of the graph is below it, so it sizes Bits and handle-indexed
 // slices.
-func (g *Graph[L]) Cap() int { return int(g.nextID) }
+func (g *Graph[L]) Cap() int { return len(g.labels) }
 
-// EachPred calls fn for every direct dependency of n, in no particular
-// order — Preds without the sort, for hot loops that do not care.
+// EachPred calls fn for every direct dependency of n, in ascending order
+// — Preds without the copy, for hot loops.
 func (g *Graph[L]) EachPred(n Node, fn func(Node)) {
-	for m := range g.in[n] {
+	for _, m := range adj(g.in, n) {
 		fn(m)
 	}
 }
@@ -71,7 +71,7 @@ func (g *Graph[L]) Reach() (*Reach, error) {
 	r.rows = make([]uint64, r.words*g.Cap())
 	acyclic := g.eachTopo(func(n Node) {
 		row := r.Ancestors(n)
-		for p := range g.in[n] {
+		for _, p := range g.in[n] {
 			row.Set(p)
 			for i, w := range r.Ancestors(p) {
 				row[i] |= w
@@ -84,16 +84,15 @@ func (g *Graph[L]) Reach() (*Reach, error) {
 	return r, nil
 }
 
-// eachTopo calls visit on the vertices in some topological order, without
-// sorting adjacency sets, and reports whether every vertex was reached —
-// that is, whether the graph is acyclic.
+// eachTopo calls visit on the vertices in some topological order and
+// reports whether every vertex was reached — that is, whether the graph
+// is acyclic.
 func (g *Graph[L]) eachTopo(visit func(Node)) bool {
-	indeg := make([]int, g.Cap())
+	indeg := g.indegrees()
 	var ready []Node
-	for _, n := range g.Nodes() {
-		indeg[n] = len(g.in[n])
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+	for n, ok := range g.live {
+		if ok && indeg[n] == 0 {
+			ready = append(ready, Node(n))
 		}
 	}
 	done := 0
@@ -102,7 +101,7 @@ func (g *Graph[L]) eachTopo(visit func(Node)) bool {
 		ready = ready[:len(ready)-1]
 		done++
 		visit(n)
-		for m := range g.out[n] {
+		for _, m := range g.out[n] {
 			if indeg[m]--; indeg[m] == 0 {
 				ready = append(ready, m)
 			}
@@ -126,28 +125,42 @@ func (r *Reach) IsAncestor(u, v Node) bool { return r.Ancestors(v).Has(u) }
 // (such as a Reach of g) stay valid for the result. It is the one-pass,
 // bulk form of calling Remove on every rejected vertex.
 func Induced[L, M any](g *Graph[L], keep func(Node) bool, label func(Node, L) M) *Graph[M] {
-	out := New[M]()
-	out.nextID = g.nextID
-	for _, n := range g.Nodes() {
-		if !keep(n) {
+	c := len(g.labels)
+	out := &Graph[M]{
+		labels: make([]M, c),
+		live:   make([]bool, c),
+		out:    make([][]Node, c),
+		in:     make([][]Node, c),
+	}
+	for n, ok := range g.live {
+		if ok && keep(Node(n)) {
+			out.live[n] = true
+			out.nodes++
+		}
+	}
+	var buf []Node
+	for n, ok := range out.live {
+		if !ok {
 			continue
 		}
-		out.labels[n] = label(n, g.labels[n])
-		out.ordered = append(out.ordered, n)
-		succ := make(map[Node]struct{}, len(g.out[n]))
-		for m := range g.out[n] {
-			if keep(m) {
-				succ[m] = struct{}{}
-			}
-		}
-		out.out[n] = succ
-		pred := make(map[Node]struct{}, len(g.in[n]))
-		for m := range g.in[n] {
-			if keep(m) {
-				pred[m] = struct{}{}
-			}
-		}
-		out.in[n] = pred
+		out.labels[n] = label(Node(n), g.labels[n])
+		buf, out.out[n] = pack(buf, g.out[n], out.live)
+		buf, out.in[n] = pack(buf, g.in[n], out.live)
+		out.edges += len(out.out[n])
 	}
 	return out
+}
+
+// pack appends the members of row that live accepts to buf, and returns
+// buf and the appended part, capped at its own length so that growing it
+// later copies instead of writing over the next row. Packing every row
+// into shared buffers costs a few allocations instead of one per vertex.
+func pack(buf, row []Node, live []bool) ([]Node, []Node) {
+	start := len(buf)
+	for _, m := range row {
+		if live[m] {
+			buf = append(buf, m)
+		}
+	}
+	return buf, buf[start:len(buf):len(buf)]
 }
