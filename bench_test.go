@@ -294,43 +294,31 @@ package {'golang-go': ensure => present }
 // BenchmarkParallelSpeedup measures the parallel determinacy engine on
 // the semantic-commute-heavy workload (8 packages with overlapping
 // dependency closures, 28 pairwise solver queries) at 1/2/4/8 workers.
-// The Native series runs real in-process queries — its speedup is bounded
-// by the host's core count (flat on a single-core host). The ModeledZ3
-// series adds a modeled external-solver round trip per query (the
-// paper's Z3 ran behind IPC, like the dynamic baseline's modeled
-// container latency), demonstrating query overlap on any host. Each
-// iteration uses a cold private cache so runs are comparable; see
-// BENCH_parallel.json for a recorded trajectory point
-// (cmd/experiments -parallel-bench -parallel-out BENCH_parallel.json).
+// Queries run in-process, so the speedup is bounded by the host's core
+// count (flat on a single-core host). Each iteration uses a cold private
+// cache so runs are comparable; see BENCH_parallel.json for a recorded
+// trajectory point (cmd/experiments -parallel-bench -parallel-out
+// BENCH_parallel.json).
 func BenchmarkParallelSpeedup(b *testing.B) {
 	manifest, provider := experiments.ParallelWorkload(experiments.ParallelWorkloadSize)
-	for _, series := range []struct {
-		name    string
-		latency time.Duration
-	}{{"Native", 0}, {"ModeledZ3", experiments.ModeledZ3Latency}} {
-		series := series
-		b.Run(series.name, func(b *testing.B) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				workers := workers
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					opts := core.DefaultOptions()
-					opts.Provider = provider
-					opts.SemanticCommute = true
-					opts.Parallelism = workers
-					opts.PerQueryLatency = series.latency
-					opts.Timeout = 5 * time.Minute
-					for i := 0; i < b.N; i++ {
-						opts.SharedQueryCache = qcache.New() // cold cache per run
-						sys := loadOrFatal(b, manifest, opts)
-						res, err := sys.CheckDeterminism()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !res.Deterministic {
-							b.Fatal("parallel workload must be deterministic")
-						}
-					}
-				})
+	for _, workers := range []int{1, 2, 4, 8} {
+		workers := workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := core.DefaultOptions()
+			opts.Provider = provider
+			opts.SemanticCommute = true
+			opts.Parallelism = workers
+			opts.Timeout = 5 * time.Minute
+			for i := 0; i < b.N; i++ {
+				opts.SharedQueryCache = qcache.New() // cold cache per run
+				sys := loadOrFatal(b, manifest, opts)
+				res, err := sys.CheckDeterminism()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Deterministic {
+					b.Fatal("parallel workload must be deterministic")
+				}
 			}
 		})
 	}
@@ -342,7 +330,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // growth of elimination and graph building with size stays visible. It
 // runs the two fault classes that get a verdict: none (deterministic)
 // and local-dep (non-deterministic); the pkg-config class reaches the
-// exact fallback and is undecided at these sizes. No modeled latency.
+// exact fallback and is undecided at these sizes.
 func BenchmarkFleetDeterminism(b *testing.B) {
 	for _, n := range []int{400, 1200, 2400} {
 		for _, f := range []benchmarks.FleetFault{benchmarks.FleetNone, benchmarks.FleetLocalDep} {
@@ -368,71 +356,54 @@ func BenchmarkFleetDeterminism(b *testing.B) {
 
 // BenchmarkIncrementalSpeedup measures the incremental SMT backend on the
 // semantic-commute-heavy workload at 4 workers, fresh solvers vs the
-// pooled incremental path with a cold and a warm pool. The Native series
-// runs real in-process queries (pooling trades a wider shared vocabulary
-// for amortized compilation — roughly break-even in-process); the
-// ModeledZ3 series adds the modeled external-solver costs the backend
-// targets: solver construction per query on the fresh path vs per pool
-// miss on the pooled path. Each iteration uses a cold private cache, and
-// the pool registry is reset (or pre-warmed) per mode so runs are
-// comparable; see BENCH_incremental.json for a recorded trajectory point
-// (cmd/experiments -incremental-bench -incremental-out
-// BENCH_incremental.json).
+// pooled incremental path with a cold and a warm pool (pooling trades a
+// wider shared vocabulary for amortized compilation — roughly break-even
+// in-process). Each iteration uses a cold private cache, and the pool
+// registry is reset (or pre-warmed) per mode so runs are comparable; see
+// BENCH_incremental.json for a recorded trajectory point (cmd/experiments
+// -incremental-bench -incremental-out BENCH_incremental.json).
 func BenchmarkIncrementalSpeedup(b *testing.B) {
 	manifest, provider := experiments.ParallelWorkload(experiments.ParallelWorkloadSize)
-	for _, series := range []struct {
-		name           string
-		query, startup time.Duration
-	}{
-		{"Native", 0, 0},
-		{"ModeledZ3", experiments.ModeledIncrementalLatency, experiments.ModeledSolverStartup},
-	} {
-		series := series
-		b.Run(series.name, func(b *testing.B) {
-			for _, mode := range []struct {
-				name  string
-				fresh bool
-				warm  bool
-			}{{"fresh", true, false}, {"pooled-cold", false, false}, {"pooled-warm", false, true}} {
-				mode := mode
-				b.Run(mode.name, func(b *testing.B) {
-					opts := core.DefaultOptions()
-					opts.Provider = provider
-					opts.SemanticCommute = true
-					opts.Parallelism = experiments.IncrementalWorkers
-					opts.FreshSolvers = mode.fresh
-					opts.PerQueryLatency = series.query
-					opts.PerSolverLatency = series.startup
-					opts.Timeout = 5 * time.Minute
-					run := func() *core.DeterminismResult {
-						opts.SharedQueryCache = qcache.New() // cold cache per run
-						sys := loadOrFatal(b, manifest, opts)
-						res, err := sys.CheckDeterminism()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !res.Deterministic {
-							b.Fatal("incremental workload must be deterministic")
-						}
-						return res
-					}
-					core.ResetSolverPools()
-					if mode.warm {
-						run() // prime the pool outside the timer
-						b.ResetTimer()
-					}
-					for i := 0; i < b.N; i++ {
-						if !mode.warm && !mode.fresh {
-							b.StopTimer()
-							core.ResetSolverPools() // cold pool per iteration
-							b.StartTimer()
-						}
-						res := run()
-						if !mode.fresh && res.Stats.SolverReuses == 0 {
-							b.Fatal("pooled run reported no solver reuse")
-						}
-					}
-				})
+	for _, mode := range []struct {
+		name  string
+		fresh bool
+		warm  bool
+	}{{"fresh", true, false}, {"pooled-cold", false, false}, {"pooled-warm", false, true}} {
+		mode := mode
+		b.Run(mode.name, func(b *testing.B) {
+			opts := core.DefaultOptions()
+			opts.Provider = provider
+			opts.SemanticCommute = true
+			opts.Parallelism = experiments.IncrementalWorkers
+			opts.FreshSolvers = mode.fresh
+			opts.Timeout = 5 * time.Minute
+			run := func() *core.DeterminismResult {
+				opts.SharedQueryCache = qcache.New() // cold cache per run
+				sys := loadOrFatal(b, manifest, opts)
+				res, err := sys.CheckDeterminism()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Deterministic {
+					b.Fatal("incremental workload must be deterministic")
+				}
+				return res
+			}
+			core.ResetSolverPools()
+			if mode.warm {
+				run() // prime the pool outside the timer
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				if !mode.warm && !mode.fresh {
+					b.StopTimer()
+					core.ResetSolverPools() // cold pool per iteration
+					b.StartTimer()
+				}
+				res := run()
+				if !mode.fresh && res.Stats.SolverReuses == 0 {
+					b.Fatal("pooled run reported no solver reuse")
+				}
 			}
 		})
 	}
@@ -440,7 +411,7 @@ func BenchmarkIncrementalSpeedup(b *testing.B) {
 
 // BenchmarkInterningSpeedup measures the hash-consed IR on the semantic-
 // commute-heavy workload at one worker: the Encode series compares plain
-// trees on fresh solvers (four modeled subtree compilations per query)
+// trees on fresh solvers (four subtree compilations per query)
 // against interned models on cold and warm memoized sessions, and the Disk
 // series compares a cold on-disk verdict store against a warm-started one
 // (the warm run must answer every query from disk — the experiment errors
@@ -450,7 +421,7 @@ func BenchmarkIncrementalSpeedup(b *testing.B) {
 func BenchmarkInterningSpeedup(b *testing.B) {
 	b.Run("Encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, err := experiments.EncodeMemoSpeedup(5*time.Minute, experiments.ModeledEncodeLatency)
+			rows, err := experiments.EncodeMemoSpeedup(5 * time.Minute)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -461,7 +432,7 @@ func BenchmarkInterningSpeedup(b *testing.B) {
 	})
 	b.Run("Disk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, err := experiments.DiskCacheSpeedup(5*time.Minute, experiments.ModeledZ3Latency)
+			rows, err := experiments.DiskCacheSpeedup(5 * time.Minute)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -475,33 +446,22 @@ func BenchmarkInterningSpeedup(b *testing.B) {
 // BenchmarkDiffSpeedup measures differential verification on the
 // synthetic edit workload: a full determinacy check of the head version
 // from a cold cache versus core.VerifyDiff against a base warmed into a
-// shared cache, at a 1-of-8-packages edit. The Native series runs real
-// in-process queries (the diff path still pays load and exploration, so
-// the gap is modest); the ModeledZ3 series adds a modeled external-
-// solver round trip per query — the work inheritance avoids. Soundness
-// (matching verdicts, exact inheritance, zero solver queries for
-// inherited pairs) is enforced inside experiments.DiffSpeedup; see
-// BENCH_diff.json for a recorded trajectory point (cmd/experiments
-// -diff-bench -diff-out BENCH_diff.json).
+// shared cache, at a 1-of-8-packages edit (the diff path still pays load
+// and exploration, so the gap is modest). Soundness (matching verdicts,
+// exact inheritance, zero solver queries for inherited pairs) is enforced
+// inside experiments.DiffSpeedup; see BENCH_diff.json for a recorded
+// trajectory point (cmd/experiments -diff-bench -diff-out BENCH_diff.json).
 func BenchmarkDiffSpeedup(b *testing.B) {
-	for _, series := range []struct {
-		name    string
-		latency time.Duration
-	}{{"Native", 0}, {"ModeledZ3", experiments.ModeledDiffQueryLatency}} {
-		series := series
-		b.Run(series.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.DiffSpeedup(5*time.Minute, 8, []int{12}, []int{4}, series.latency)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					b.ReportMetric(r.FullSeconds, "full-s")
-					b.ReportMetric(r.DiffSeconds, "diff-s")
-					b.ReportMetric(float64(r.PairsReused), "pairs-reused")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.DiffSpeedup(5*time.Minute, 8, []int{12}, []int{4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rows {
+			b.ReportMetric(r.FullSeconds, "full-s")
+			b.ReportMetric(r.DiffSeconds, "diff-s")
+			b.ReportMetric(float64(r.PairsReused), "pairs-reused")
+		}
 	}
 }
 

@@ -17,8 +17,6 @@
 //	                       differential verification: full re-check vs digest diff
 //	experiments -cluster-bench [-cluster-out BENCH_cluster.json]
 //	                       sharded rehearsald ring: warm jobs/sec at 1/2/4 nodes
-//	experiments -sat-bench [-sat-out BENCH_sat.json]
-//	                       portfolio SAT: cold-query p99, single vs k-way race
 //	experiments            all of the above
 //
 // The -timeout flag stands in for the paper's 10-minute limit (default
@@ -55,8 +53,6 @@ func main() {
 	diffOut := flag.String("diff-out", "", "write the differential speedup results as a JSON trajectory point (e.g. BENCH_diff.json)")
 	clusterBench := flag.Bool("cluster-bench", false, "run the sharded-cluster throughput experiment only")
 	clusterOut := flag.String("cluster-out", "", "write the cluster throughput results as a JSON trajectory point (e.g. BENCH_cluster.json)")
-	satBench := flag.Bool("sat-bench", false, "run the portfolio-SAT cold-query latency experiment only")
-	satOut := flag.String("sat-out", "", "write the portfolio-SAT results as a JSON trajectory point (e.g. BENCH_sat.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-check timeout (paper: 10 minutes)")
@@ -103,8 +99,6 @@ func main() {
 		printDiff(*timeout, *diffOut)
 	case *clusterBench:
 		printCluster(*timeout, *clusterOut)
-	case *satBench:
-		printSat(*timeout, *satOut)
 	case *fig == "":
 		printFig11a(*timeout)
 		printFig11b(*timeout)
@@ -118,7 +112,6 @@ func main() {
 		printService(*timeout, *serviceOut)
 		printDiff(*timeout, *diffOut)
 		printCluster(*timeout, *clusterOut)
-		printSat(*timeout, *satOut)
 	case *fig == "11a":
 		printFig11a(*timeout)
 	case *fig == "11b":
@@ -231,8 +224,8 @@ func printFig13(timeout time.Duration, maxN int) {
 }
 
 // runBench is the shared harness behind every -*-bench flag: floor the
-// figure timeout (the modeled series sleep real wall-clock time), build
-// the report, print its table, and write the JSON trajectory point when
+// figure timeout (a bench runs whole workloads, not one figure row),
+// build the report, print its table, and write the JSON trajectory point when
 // an -*-out path was given. Each bench contributes only its builder and
 // its table.
 func runBench[T interface{ Write(string) error }](timeout, floor time.Duration, out string,
@@ -254,8 +247,6 @@ func runBench[T interface{ Write(string) error }](timeout, floor time.Duration, 
 }
 
 func printParallel(timeout time.Duration, out string) {
-	// The modeled series sleeps 250ms per query; give the sequential run
-	// enough headroom regardless of the figure timeout.
 	runBench(timeout, time.Minute, out, func(t time.Duration) (*experiments.ParallelReport, error) {
 		return experiments.BuildParallelReport(t, []int{1, 2, 4, 8})
 	}, printParallelTable)
@@ -264,40 +255,31 @@ func printParallel(timeout time.Duration, out string) {
 func printParallelTable(rep *experiments.ParallelReport) {
 	fmt.Println("== Parallel determinacy engine: speedup vs workers ==")
 	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%8s %14s %14s %10s %10s\n", "workers", "native", "modeled-z3", "queries", "hits")
-	for i, r := range rep.Native {
-		m := rep.ModeledZ3[i]
-		fmt.Printf("%8d %14s %14s %10d %10d\n", r.Workers,
-			fmtTime(r.Time, r.TimedOut), fmtTime(m.Time, m.TimedOut), r.Queries, r.CacheHits)
+	fmt.Printf("%8s %14s %10s %10s\n", "workers", "time", "queries", "hits")
+	for _, r := range rep.Native {
+		fmt.Printf("%8d %14s %10d %10d\n", r.Workers, fmtTime(r.Time, r.TimedOut), r.Queries, r.CacheHits)
 	}
-	fmt.Printf("speedup at 4 workers: native %.2fx, modeled-z3 %.2fx\n\n",
-		rep.NativeSpeedup4, rep.ModeledSpeedup4)
+	fmt.Printf("speedup at 4 workers: %.2fx\n\n", rep.NativeSpeedup4)
 }
 
 func printIncremental(timeout time.Duration, out string) {
-	// The modeled fresh series sleeps 300ms per query; give the runs
-	// headroom regardless of the figure timeout.
 	runBench(timeout, time.Minute, out, experiments.BuildIncrementalReport, printIncrementalTable)
 }
 
 func printIncrementalTable(rep *experiments.IncrementalReport) {
 	fmt.Println("== Incremental SMT backend: fresh vs pooled solvers ==")
 	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-12s %14s %14s %10s %8s %8s %8s\n",
-		"mode", "native", "modeled-z3", "queries", "reuses", "learnt", "presimp")
-	for i, r := range rep.Native {
-		m := rep.ModeledZ3[i]
-		fmt.Printf("%-12s %14s %14s %10d %8d %8d %8d\n", r.Mode,
-			fmtTime(r.Time, r.TimedOut), fmtTime(m.Time, m.TimedOut),
+	fmt.Printf("%-12s %14s %10s %8s %8s %8s\n",
+		"mode", "time", "queries", "reuses", "learnt", "presimp")
+	for _, r := range rep.Native {
+		fmt.Printf("%-12s %14s %10d %8d %8d %8d\n", r.Mode, fmtTime(r.Time, r.TimedOut),
 			r.Queries, r.SolverReuses, r.LearntRetained, r.PreprocessRemoved)
 	}
-	fmt.Printf("warm-pool speedup over fresh: native %.2fx, modeled-z3 %.2fx (cold %.2fx)\n\n",
-		rep.NativeWarmSpeedup, rep.ModeledWarmSpeedup, rep.ModeledColdSpeedup)
+	fmt.Printf("pooled speedup over fresh: warm %.2fx, cold %.2fx\n\n",
+		rep.NativeWarmSpeedup, rep.NativeColdSpeedup)
 }
 
 func printInterning(timeout time.Duration, out string) {
-	// The modeled series sleep hundreds of milliseconds per cold query;
-	// give the runs headroom regardless of the figure timeout.
 	runBench(timeout, time.Minute, out, experiments.BuildInterningReport, printInterningTable)
 }
 
@@ -338,8 +320,8 @@ func printServiceTable(rep *experiments.ServiceReport) {
 }
 
 func printDiff(timeout time.Duration, out string) {
-	// The synthetic full runs sleep 25ms per query across 190 queries at
-	// one worker; give them headroom regardless of the figure timeout.
+	// The synthetic full runs solve 66 queries at one worker; give them
+	// headroom regardless of the figure timeout.
 	runBench(timeout, 5*time.Minute, out, experiments.BuildDiffReport, printDiffTable)
 }
 
@@ -355,8 +337,8 @@ func printDiffTable(rep *experiments.DiffReport) {
 			r.PairsReused, r.PairsReverified, r.InheritMisses)
 	}
 	h := rep.Hosting
-	fmt.Printf("hosting.pp one-resource edit (%d worker, %dms modeled z3): full %.3fs vs diff %.3fs = %.1fx (%d pairs inherited, %d solver queries)\n\n",
-		h.Workers, h.ModeledLatencyMS, h.FullSeconds, h.DiffSeconds, h.Speedup, h.PairsReused, h.DiffQueries)
+	fmt.Printf("hosting.pp one-resource edit (%d worker): full %.3fs vs diff %.3fs = %.1fx, floor %.0fx (%d pairs inherited, %d solver queries)\n\n",
+		h.Workers, h.FullSeconds, h.DiffSeconds, h.Speedup, experiments.MinHostingDiffSpeedup, h.PairsReused, h.DiffQueries)
 }
 
 func printCluster(timeout time.Duration, out string) {
@@ -379,32 +361,6 @@ func printClusterTable(rep *experiments.ClusterReport) {
 			s.Nodes, s.WarmJobsPerSec, s.SpeedupOverOne, s.RingHits, s.RingPuts, s.RoutedProxied)
 	}
 	fmt.Printf("verdicts byte-identical across fleet sizes: %v\n\n", rep.VerdictsIdentical)
-}
-
-func printSat(timeout time.Duration, out string) {
-	runBench(timeout, time.Minute, out, experiments.BuildSatReport, printSatTable)
-}
-
-func printSatTable(rep *experiments.SatReport) {
-	fmt.Println("== Portfolio SAT: cold-query latency, single config vs k-way race ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("configs: %v; escalation budget E=%d conflicts; %dus/conflict modeled, tail sigma %.1f\n",
-		rep.Configs, rep.EscalateConflicts, rep.ModeledConflictLatencyUS, rep.TailSigma)
-	fmt.Printf("%-10s %10s %10s %10s %10s\n", "series", "p50", "p90", "p99", "mean")
-	for _, s := range []struct {
-		name string
-		d    experiments.SatSeries
-	}{{"single", rep.Single}, {"k=2", rep.Portfolio2}, {"k=4", rep.Portfolio4}} {
-		fmt.Printf("%-10s %8.1fms %8.1fms %8.1fms %8.1fms\n",
-			s.name, s.d.P50MS, s.d.P90MS, s.d.P99MS, s.d.MeanMS)
-	}
-	fmt.Printf("p99 speedup: k=2 %.2fx, k=4 %.2fx (floor %.1fx); p50 at k=4 %.2fx\n",
-		rep.P99Speedup2, rep.P99Speedup4, experiments.MinSatP99Speedup, rep.P50Speedup4)
-	fmt.Printf("verdicts identical: %v, witnesses identical: %v; real k=4 race winners: %v\n",
-		rep.VerdictsIdentical, rep.WitnessesIdentical, rep.RaceWinners)
-	e := rep.Engine
-	fmt.Printf("engine differential (%s, %d workers): single %.3fs vs portfolio %.3fs, %d escalations, %d races, report identical: %v\n\n",
-		e.Manifest, e.Workers, e.SingleSeconds, e.PortfolioSeconds, e.Escalations, e.Races, e.ReportIdentical)
 }
 
 func printBugs(timeout time.Duration) {

@@ -172,8 +172,6 @@ func run(args []string) int {
 	suggest := fl.Bool("suggest", false, "on non-determinism, search for missing dependencies that repair the manifest")
 	diffMode := fl.Bool("diff", false, "differential verification: with exactly two manifests, treat the first as the base version and re-verify only resource pairs whose compiled models changed, inheriting the rest from the (ideally warm, see -cache-dir) verdict caches")
 	parallel := fl.Int("parallel", 0, "worker count for solver queries and concurrent manifests (0 = number of CPUs)")
-	portfolio := fl.Int("portfolio", 0, "race this many diverse solver configs on hard semantic-commutativity queries, first verdict wins (0 or 1 = single-config; verdicts and witnesses are byte-identical either way)")
-	portfolioEscalate := fl.Int64("portfolio-escalate", 0, "conflict budget of the pre-race default-config attempt; only exhaustion escalates to the portfolio (0 = built-in default)")
 	verbose := fl.Bool("v", false, "print analysis statistics")
 	stats := fl.Bool("stats", false, "print solver-backend statistics (solver reuses, learnt clauses retained, intern/encode-memo/disk-cache hits; with -diff, reused vs re-verified pair counts; with -cache-dir, disk hits/misses/corrupt entries)")
 	if err := fl.Parse(args); err != nil {
@@ -203,7 +201,6 @@ func run(args []string) int {
 	copts.CacheDir = *cacheDir
 	copts.WellFormedInit = *wellFormed
 	copts.Parallelism = *parallel
-	copts.Portfolio = core.PortfolioOptions{K: *portfolio, EscalateConflicts: *portfolioEscalate}
 
 	opts := options{
 		core:       copts,
@@ -413,18 +410,6 @@ func verifyOne(w, ew io.Writer, path, src string, opts options) int {
 		fmt.Fprintf(ew, "  decisions=%d propagations=%d conflicts=%d restarts=%d\n",
 			res.Stats.SolverDecisions, res.Stats.SolverPropagations,
 			res.Stats.SolverConflicts, res.Stats.SolverRestarts)
-		if res.Stats.PortfolioEscalations > 0 || res.Stats.PortfolioRaces > 0 {
-			fmt.Fprintf(ew, "  portfolio-escalations=%d portfolio-races=%d", res.Stats.PortfolioEscalations, res.Stats.PortfolioRaces)
-			names := make([]string, 0, len(res.Stats.WinnerByConfig))
-			for name := range res.Stats.WinnerByConfig {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(ew, " wins[%s]=%d", name, res.Stats.WinnerByConfig[name])
-			}
-			fmt.Fprintln(ew)
-		}
 		if opts.baseSrc != "" {
 			fmt.Fprintf(ew, "  diff-changed=%d diff-unchanged=%d pairs-reused=%d pairs-reverified=%d inherit-misses=%d\n",
 				res.Stats.DiffChanged, res.Stats.DiffUnchanged,

@@ -66,8 +66,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist semantic-commutativity verdicts to this directory (restart-warm)")
 	semCommute := flag.Bool("semantic-commute", false, "strengthen commutativity with solver-based pairwise equivalence for every job")
 	parallel := flag.Int("parallel", 0, "per-job solver parallelism (0 = number of CPUs)")
-	portfolio := flag.Int("portfolio", 0, "race this many diverse solver configs on hard semantic-commutativity queries (0 or 1 = single-config)")
-	portfolioEscalate := flag.Int64("portfolio-escalate", 0, "conflict budget of the pre-race default-config attempt (0 = built-in default)")
 	pkgServer := flag.String("pkg-server", "", "base URL of a package-listing service (default: built-in catalog)")
 	netTimeout := flag.Duration("net-timeout", pkgdb.DefaultAttemptTimeout, "per-attempt timeout for package-listing requests")
 	netRetries := flag.Int("net-retries", pkgdb.DefaultAttempts, "total attempts per package-listing request")
@@ -118,7 +116,6 @@ func main() {
 	base := core.DefaultOptions()
 	base.SemanticCommute = *semCommute
 	base.Parallelism = *parallel
-	base.Portfolio = core.PortfolioOptions{K: *portfolio, EscalateConflicts: *portfolioEscalate}
 
 	cfg := service.Config{
 		Workers:     *workers,

@@ -98,34 +98,12 @@ type Options struct {
 	// Nil means qcache.Shared(); benchmarks inject a private cache to
 	// measure cold-cache behavior.
 	SharedQueryCache *qcache.Cache
-	// PerQueryLatency models the round-trip cost of an external solver
-	// process on every semantic-commutativity query, mirroring the
-	// paper's setup (Z3 behind IPC) the same way internal/dynamic models
-	// per-resource container latency. Benchmarks use it to measure how
-	// well the worker pool overlaps query latency on hosts with few
-	// cores; 0 (production) runs queries at native in-process speed.
-	PerQueryLatency time.Duration
 	// FreshSolvers disables the incremental solver pool and builds an
 	// isolated vocabulary, encoder and solver for every semantic-
 	// commutativity query. Verdicts are identical either way (the
 	// differential tests enforce it); the fresh path exists as the
 	// baseline for those tests and for the incremental benchmark.
 	FreshSolvers bool
-	// PerSolverLatency models the construction cost of an external solver
-	// process (spawning Z3, loading the theory). The fresh-solver path
-	// pays it on every query; the pooled path only when a pool miss
-	// constructs a new solver. Benchmarks use the pair
-	// (PerQueryLatency, PerSolverLatency) to project in-process speedups
-	// onto the paper's external-solver setup; 0 (production) adds nothing.
-	PerSolverLatency time.Duration
-	// PerEncodeLatency models the cost of symbolically compiling one
-	// component subtree of a semantic-commutativity query into an external
-	// solver's term language. The fresh-solver path pays it four times per
-	// query (both resource models, in both orders); a pooled session pays
-	// it once per apply-memo miss, so warm sessions over interned
-	// expressions pay nearly nothing. Benchmarks use it to project the
-	// encode-memoization speedup; 0 (production) adds nothing.
-	PerEncodeLatency time.Duration
 	// CacheDir enables the on-disk verdict tier (internal/qcache's Disk):
 	// semantic-commutativity verdicts computed by this process are written
 	// to the directory and later runs pointed at the same directory start
@@ -138,28 +116,6 @@ type Options struct {
 	// differential tests pin verdicts to this baseline); the knob exists
 	// for those tests and for the interning benchmark.
 	DisableInterning bool
-	// Portfolio enables portfolio SAT racing for hard semantic-
-	// commutativity queries (see PortfolioOptions). The zero value keeps
-	// every query single-config.
-	Portfolio PortfolioOptions
-}
-
-// PortfolioOptions configures portfolio SAT racing. A query first runs
-// under the default solver config with a small conflict budget
-// (EscalateConflicts); only on exhaustion does it escalate to a race of
-// K diverse configs under the full budget, first verdict wins. Cheap
-// queries — the overwhelming majority — never pay racing overhead, while
-// the hosting/amavis-class queries that set cold p99 get the min-of-K
-// tail. Verdicts and counterexample witnesses are byte-identical to
-// single-config runs by construction (config-independent verdicts plus
-// canonical witness extraction; see internal/sym).
-type PortfolioOptions struct {
-	// K is the number of diverse solver configs raced on escalation
-	// (sat.PortfolioConfigs). Values below 2 disable racing.
-	K int
-	// EscalateConflicts is the conflict budget of the pre-race default-
-	// config attempt; 0 means DefaultEscalateConflicts.
-	EscalateConflicts int64
 }
 
 // DefaultOptions enables every analysis, matching the configuration the

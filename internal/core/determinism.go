@@ -86,23 +86,12 @@ type Stats struct {
 	WorkerPanics int
 
 	// Core solver search counters, cumulative over every SAT query the
-	// check ran (semantic-commutativity queries across all workers and
-	// portfolio legs, plus the final determinacy disjunction).
+	// check ran (semantic-commutativity queries across all workers, plus
+	// the final determinacy disjunction).
 	SolverDecisions    int64
 	SolverPropagations int64
 	SolverConflicts    int64
 	SolverRestarts     int64
-
-	// Portfolio-racing counters (all zero unless Options.Portfolio.K >= 2).
-
-	// PortfolioEscalations counts default-config attempts that exhausted
-	// the escalation budget; PortfolioRaces counts the k-way races those
-	// escalations triggered.
-	PortfolioEscalations int
-	PortfolioRaces       int
-	// WinnerByConfig maps a portfolio config name to the races it won;
-	// only configs with at least one win appear (nil when no race ran).
-	WinnerByConfig map[string]int
 
 	// Differential-verification counters, populated only by the VerifyDiff
 	// path (all zero on a full check).
@@ -343,19 +332,6 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		stats.LearntRetained, stats.PreprocessRemoved = cc.pool.snapshot()
 		if d := cc.pool.applyHits() - applyHitsBase; d > 0 {
 			stats.EncodeMemoHits = d
-		}
-	}
-	stats.PortfolioEscalations = int(cc.escalations.Load())
-	stats.PortfolioRaces = int(cc.races.Load())
-	if len(cc.portfolio) > 1 {
-		byConfig := make(map[string]int)
-		for i := range cc.wins {
-			if n := cc.wins[i].Load(); n > 0 {
-				byConfig[cc.portfolio[i].Name] = int(n)
-			}
-		}
-		if len(byConfig) > 0 {
-			stats.WinnerByConfig = byConfig
 		}
 	}
 	// Search counters span the worker queries (cc.satm) plus the final

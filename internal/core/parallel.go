@@ -7,12 +7,10 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/commute"
 	"repro/internal/fs"
 	"repro/internal/qcache"
-	"repro/internal/sat"
 	"repro/internal/sym"
 )
 
@@ -22,14 +20,6 @@ import (
 // query counts as non-commuting, which is always sound (it only forces
 // the exact analysis to do more work).
 const DefaultCommuteBudget = 200_000
-
-// DefaultEscalateConflicts is the default pre-race conflict budget when
-// portfolio racing is enabled: a query that the default config decides
-// within this many conflicts (the overwhelming majority) never pays any
-// racing overhead. Chosen well below the conflict counts of the
-// hosting/amavis-class queries that set cold p99, and well above the
-// single-digit conflict counts of typical pairs.
-const DefaultEscalateConflicts = 2_000
 
 // runParallel executes task(0..n-1) on up to workers goroutines and waits
 // for all of them. workers <= 1 runs inline, keeping single-threaded runs
@@ -83,27 +73,12 @@ func runParallel(ctx context.Context, workers, n int, task func(i int)) {
 // sequential analysis re-reads them) and avoids shared-cache lock traffic
 // on the hot path.
 type commuteChecker struct {
-	semantic      bool
-	budget        int64
-	workers       int
-	latency       time.Duration
-	solverLatency time.Duration
-	encodeLatency time.Duration
-	cache         *qcache.Cache
-	pool          *sessionPool // nil: build an isolated solver per query
-
-	// Portfolio racing (nil/empty when disabled): the diverse config
-	// list, the pre-race conflict budget, and — on the pooled path — one
-	// warm session pool per config so losing configs keep their learnt
-	// state across races. satm accumulates SAT search counters across
-	// every query, raced or not.
-	portfolio   []sat.Config
-	escalate    int64
-	cfgPools    []*sessionPool
-	satm        *sym.Metrics
-	races       atomic.Int64   // portfolio races run
-	escalations atomic.Int64   // default-config attempts that exhausted the escalation budget
-	wins        []atomic.Int64 // races won, per portfolio config index
+	semantic bool
+	budget   int64
+	workers  int
+	cache    *qcache.Cache
+	pool     *sessionPool // nil: build an isolated solver per query
+	satm     *sym.Metrics // SAT search counters summed over every query
 
 	// Cancellation and fail-fast: ctx derives from Options.Context and is
 	// additionally canceled by the first hard error (a worker panic), so
@@ -206,27 +181,15 @@ func newCommuteChecker(opts Options) *commuteChecker {
 		parent = context.Background()
 	}
 	ctx, cancel := context.WithCancel(parent)
-	cc := &commuteChecker{
-		ctx:           ctx,
-		cancel:        cancel,
-		semantic:      opts.SemanticCommute,
-		budget:        DefaultCommuteBudget,
-		workers:       workers,
-		latency:       opts.PerQueryLatency,
-		solverLatency: opts.PerSolverLatency,
-		encodeLatency: opts.PerEncodeLatency,
-		cache:         cache,
-		satm:          &sym.Metrics{},
+	return &commuteChecker{
+		ctx:      ctx,
+		cancel:   cancel,
+		semantic: opts.SemanticCommute,
+		budget:   DefaultCommuteBudget,
+		workers:  workers,
+		cache:    cache,
+		satm:     &sym.Metrics{},
 	}
-	if opts.Portfolio.K >= 2 {
-		cc.portfolio = sat.PortfolioConfigs(opts.Portfolio.K)
-		cc.escalate = opts.Portfolio.EscalateConflicts
-		if cc.escalate <= 0 {
-			cc.escalate = DefaultEscalateConflicts
-		}
-		cc.wins = make([]atomic.Int64, len(cc.portfolio))
-	}
-	return cc
 }
 
 // usePool routes this check's solver queries through the incremental
@@ -235,103 +198,22 @@ func newCommuteChecker(opts Options) *commuteChecker {
 // pre-analysis expression set; elimination and pruning only shrink
 // expressions, and a query over a superset domain decides the same
 // equivalence — see internal/sym's session documentation).
-func (c *commuteChecker) usePool(v *sym.Vocab) {
-	c.pool = poolFor(v)
-	if len(c.portfolio) > 1 {
-		// One warm pool per portfolio config; index 0 (the default
-		// config) aliases c.pool, so the escalating query's session races
-		// with its learnt clauses intact.
-		c.cfgPools = make([]*sessionPool, len(c.portfolio))
-		c.cfgPools[0] = c.pool
-		for i := 1; i < len(c.portfolio); i++ {
-			c.cfgPools[i] = poolForConfig(v, c.portfolio[i])
-		}
-	}
-}
+func (c *commuteChecker) usePool(v *sym.Vocab) { c.pool = poolFor(v) }
 
-// solve runs one semantic equivalence query, through the pool when one is
-// attached. The modeled solver-construction latency (PerSolverLatency) is
-// paid per query on the fresh path but only on pool misses when pooling;
-// the modeled encode latency (PerEncodeLatency) is paid four times per
-// fresh query (both models, both orders) but only per apply-memo miss on a
-// pooled session — the subtree memoization the latency model projects.
-// With portfolio racing enabled, the first attempt runs the default
-// config under the small escalation budget; only exhaustion (the
-// hosting/amavis-class hard queries) escalates to a k-way race under the
-// full budget, first verdict wins, losers cancelled. Modeled latencies
-// apply to the pre-race attempt only — the portfolio benchmark models
-// race latency itself from per-config conflict counts.
+// solve runs one semantic equivalence query: on a pooled session when a
+// pool is attached, otherwise on an isolated encoder and solver.
 func (c *commuteChecker) solve(e1, e2 fs.Expr) (bool, error) {
-	if c.pool != nil {
-		sess, created := c.pool.acquire()
-		defer c.pool.release(sess)
-		if created {
-			if c.solverLatency > 0 {
-				time.Sleep(c.solverLatency) // modeled solver startup
-			}
-		} else {
-			c.reuses.Add(1)
-		}
-		budget := c.budget
-		if len(c.cfgPools) > 1 {
-			budget = c.escalate
-		}
-		before := sess.ApplyMisses()
-		eq, _, err := sess.Commutes(e1, e2, sym.Options{Budget: budget, Metrics: c.satm})
-		if c.encodeLatency > 0 {
-			if walked := sess.ApplyMisses() - before; walked > 0 {
-				time.Sleep(time.Duration(walked) * c.encodeLatency)
-			}
-		}
-		if len(c.cfgPools) > 1 && errors.Is(err, sym.ErrBudget) {
-			return c.racePooled(e1, e2, sess)
-		}
+	opts := sym.Options{Budget: c.budget, Metrics: c.satm}
+	if c.pool == nil {
+		eq, _, err := sym.Commutes(e1, e2, opts)
 		return eq, err
 	}
-	if c.solverLatency > 0 {
-		time.Sleep(c.solverLatency) // modeled per-query solver construction
+	sess, created := c.pool.acquire()
+	defer c.pool.release(sess)
+	if !created {
+		c.reuses.Add(1)
 	}
-	if c.encodeLatency > 0 {
-		time.Sleep(4 * c.encodeLatency) // e1;e2 and e2;e1, compiled from scratch
-	}
-	budget := c.budget
-	if len(c.portfolio) > 1 {
-		budget = c.escalate
-	}
-	eq, _, err := sym.Commutes(e1, e2, sym.Options{Budget: budget, Metrics: c.satm})
-	if len(c.portfolio) > 1 && errors.Is(err, sym.ErrBudget) {
-		c.escalations.Add(1)
-		c.races.Add(1)
-		eq, _, w, rerr := sym.PortfolioCommutes(e1, e2, c.portfolio, sym.Options{Budget: c.budget, Metrics: c.satm})
-		if w >= 0 {
-			c.wins[w].Add(1)
-		}
-		return eq, rerr
-	}
-	return eq, err
-}
-
-// racePooled escalates one pooled query to the portfolio: one warm
-// session per config (the already-held default session races as leg 0),
-// full budget, first verdict wins. Every leg's session returns to its
-// pool afterwards, win or lose.
-func (c *commuteChecker) racePooled(e1, e2 fs.Expr, defaultSess *sym.Session) (bool, error) {
-	c.escalations.Add(1)
-	c.races.Add(1)
-	sessions := make([]*sym.Session, len(c.cfgPools))
-	sessions[0] = defaultSess
-	for i := 1; i < len(c.cfgPools); i++ {
-		s, created := c.cfgPools[i].acquire()
-		if !created {
-			c.reuses.Add(1)
-		}
-		sessions[i] = s
-		defer c.cfgPools[i].release(s)
-	}
-	eq, _, w, err := sym.RaceCommutes(sessions, e1, e2, sym.Options{Budget: c.budget, Metrics: c.satm})
-	if w >= 0 {
-		c.wins[w].Add(1)
-	}
+	eq, _, err := sess.Commutes(e1, e2, opts)
 	return eq, err
 }
 
@@ -367,9 +249,6 @@ func (c *commuteChecker) commutes(a, b *workNode) bool {
 		c.queries.Add(1)
 		if solveTestHook != nil {
 			solveTestHook(a.expr, b.expr)
-		}
-		if c.latency > 0 {
-			time.Sleep(c.latency) // modeled external-solver round trip
 		}
 		return c.solve(a.expr, b.expr)
 	})

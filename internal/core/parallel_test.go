@@ -200,3 +200,48 @@ func TestConcurrentChecksStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The solver search counters in Stats must include the semantic-
+// commutativity queries the workers ran, on the pooled and on the
+// FreshSolvers path, at 1 and at 8 workers. Every pair of this workload
+// commutes, so no determinacy disjunction is ever solved: any search
+// counted comes from the worker queries. Fresh queries are isolated and
+// deterministic, so their totals cannot depend on the worker count.
+func TestSolverCountersIncludeWorkerQueries(t *testing.T) {
+	manifest, provider := parallelWorkload(4)
+	for _, fresh := range []bool{false, true} {
+		var prev *Stats
+		for _, workers := range []int{1, 8} {
+			ResetSolverPools()
+			opts := DefaultOptions()
+			opts.Provider = provider
+			opts.SemanticCommute = true
+			opts.FreshSolvers = fresh
+			opts.Parallelism = workers
+			opts.SharedQueryCache = qcache.New()
+			opts.Timeout = 2 * time.Minute
+			s, err := Load(manifest, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.CheckDeterminism()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if !res.Deterministic || st.SemQueries == 0 {
+				t.Fatalf("fresh=%v workers=%d: want a deterministic verdict from semantic queries, got deterministic=%v queries=%d",
+					fresh, workers, res.Deterministic, st.SemQueries)
+			}
+			if st.SolverDecisions == 0 || st.SolverPropagations == 0 {
+				t.Errorf("fresh=%v workers=%d: solver search counters miss the worker queries: decisions=%d propagations=%d over %d queries",
+					fresh, workers, st.SolverDecisions, st.SolverPropagations, st.SemQueries)
+			}
+			if fresh && prev != nil && (st.SolverDecisions != prev.SolverDecisions || st.SolverPropagations != prev.SolverPropagations) {
+				t.Errorf("fresh solvers: counters differ between 1 and 8 workers: decisions %d vs %d, propagations %d vs %d",
+					prev.SolverDecisions, st.SolverDecisions, prev.SolverPropagations, st.SolverPropagations)
+			}
+			prev = &st
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/fs"
-	"repro/internal/sat"
 	"repro/internal/sym"
 )
 
@@ -17,7 +16,6 @@ import (
 // check.
 type sessionPool struct {
 	vocab *sym.Vocab
-	cfg   sat.Config // search config for sessions this pool constructs
 	mu    sync.Mutex
 	free  []*sym.Session
 }
@@ -33,7 +31,7 @@ func (p *sessionPool) acquire() (*sym.Session, bool) {
 		return s, false
 	}
 	p.mu.Unlock()
-	return sym.NewSessionConfig(p.vocab, p.cfg), true
+	return sym.NewSession(p.vocab), true
 }
 
 func (p *sessionPool) release(s *sym.Session) {
@@ -69,40 +67,24 @@ func (p *sessionPool) snapshot() (learnt int, preprocessed int64) {
 	return learnt, preprocessed
 }
 
-// poolKey identifies a pool: the vocabulary digest plus the solver search
-// configuration. Portfolio racing keeps one warm pool per config so a
-// losing config's learnt clauses and memos still accumulate for its next
-// race, without ever mixing search state between configs.
-type poolKey struct {
-	vocab fs.Digest
-	cfg   string // normalized config name; "" never occurs (defaults to "default")
-}
-
-// The process-wide pool registry, keyed by vocabulary digest and solver
-// config: re-checking a manifest (or its exact-configuration fallback,
-// which shares the unpruned expression set) reuses warm solvers across
-// checks, the same way qcache reuses verdicts. Bounded so a long
-// multi-manifest run cannot accumulate solvers without limit; eviction is
-// least-recently-used.
+// The process-wide pool registry, keyed by vocabulary digest: re-checking
+// a manifest (or its exact-configuration fallback, which shares the
+// unpruned expression set) reuses warm solvers across checks, the same way
+// qcache reuses verdicts. Bounded so a long multi-manifest run cannot
+// accumulate solvers without limit; eviction is least-recently-used.
 var (
 	poolsMu   sync.Mutex
-	pools     = make(map[poolKey]*sessionPool)
-	poolOrder []poolKey // LRU order, oldest first
+	pools     = make(map[fs.Digest]*sessionPool)
+	poolOrder []fs.Digest // LRU order, oldest first
 )
 
-// maxPools bounds the number of distinct (vocabulary, config) pools.
+// maxPools bounds the number of distinct vocabulary pools.
 const maxPools = 32
 
-// poolFor returns the default-config pool for the vocabulary.
-func poolFor(v *sym.Vocab) *sessionPool { return poolForConfig(v, sat.Config{}) }
-
-// poolForConfig returns the pool for the vocabulary under the given
-// solver config, creating (and registering) it if needed.
-func poolForConfig(v *sym.Vocab, cfg sat.Config) *sessionPool {
-	k := poolKey{vocab: v.Digest(), cfg: cfg.Name}
-	if k.cfg == "" {
-		k.cfg = "default"
-	}
+// poolFor returns the pool for the vocabulary, creating (and registering)
+// it if needed.
+func poolFor(v *sym.Vocab) *sessionPool {
+	k := v.Digest()
 	poolsMu.Lock()
 	defer poolsMu.Unlock()
 	if p, ok := pools[k]; ok {
@@ -119,7 +101,7 @@ func poolForConfig(v *sym.Vocab, cfg sat.Config) *sessionPool {
 		poolOrder = poolOrder[1:]
 		delete(pools, oldest)
 	}
-	p := &sessionPool{vocab: v, cfg: cfg}
+	p := &sessionPool{vocab: v}
 	pools[k] = p
 	poolOrder = append(poolOrder, k)
 	return p
@@ -130,6 +112,6 @@ func poolForConfig(v *sym.Vocab, cfg sat.Config) *sessionPool {
 func ResetSolverPools() {
 	poolsMu.Lock()
 	defer poolsMu.Unlock()
-	pools = make(map[poolKey]*sessionPool)
+	pools = make(map[fs.Digest]*sessionPool)
 	poolOrder = nil
 }

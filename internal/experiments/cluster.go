@@ -12,13 +12,12 @@ package experiments
 //	       verdict is already owned somewhere on the ring, so no node
 //	       runs a single solver query
 //
-// Each job's execution time is floored by Config.ModeledJobLatency;
-// sleeps don't burn CPU, so N colocated nodes keep their full modeled
-// capacity and warm throughput measures routing and cache behavior, not
-// core contention. Verdicts are fingerprinted (reports minus stats and
-// timings) and must be byte-identical at every node count — the run
-// fails otherwise, so a committed BENCH_cluster.json is itself evidence
-// that sharding never changed an answer.
+// Jobs run natively, so N colocated nodes share the host's cores: warm
+// throughput at N nodes measures routing and ring overhead on one
+// machine, not the capacity of N machines. Verdicts are fingerprinted
+// (reports minus stats and timings) and must be byte-identical at every
+// node count — the run fails otherwise, so a committed BENCH_cluster.json
+// is itself evidence that sharding never changed an answer.
 
 import (
 	"bytes"
@@ -28,7 +27,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -51,9 +49,6 @@ type ClusterBenchConfig struct {
 	// Seed drives the zipfian draws; the whole experiment is deterministic
 	// given a seed (advertise URLs are fixed, so ring placement is too).
 	Seed int64
-	// ModeledLatency floors each job's execution time (service
-	// Config.ModeledJobLatency).
-	ModeledLatency time.Duration
 }
 
 func (c ClusterBenchConfig) withDefaults() ClusterBenchConfig {
@@ -68,9 +63,6 @@ func (c ClusterBenchConfig) withDefaults() ClusterBenchConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ModeledLatency <= 0 {
-		c.ModeledLatency = 5 * time.Millisecond
 	}
 	return c
 }
@@ -117,13 +109,7 @@ type ClusterReport struct {
 }
 
 // Write writes the report as indented JSON to path.
-func (r *ClusterReport) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (r *ClusterReport) Write(path string) error { return writeJSON(path, r) }
 
 // hostRewriteTransport maps the fleet's stable advertise hosts to the
 // ephemeral in-process listeners: ring placement depends on member URL
@@ -177,13 +163,12 @@ func startClusterFleet(n int, timeout time.Duration, cfg ClusterBenchConfig) (*c
 		base := options(timeout)
 		base.Parallelism = 1
 		svc, err := service.New(service.Config{
-			Workers:           1, // fleet size is the variable
-			QueueDepth:        4 * cfg.Jobs,
-			JobTimeout:        timeout,
-			Substrate:         sub,
-			BaseOptions:       &base,
-			Cluster:           node,
-			ModeledJobLatency: cfg.ModeledLatency,
+			Workers:     1, // fleet size is the variable
+			QueueDepth:  4 * cfg.Jobs,
+			JobTimeout:  timeout,
+			Substrate:   sub,
+			BaseOptions: &base,
+			Cluster:     node,
 		})
 		if err != nil {
 			f.close()
@@ -402,15 +387,14 @@ func (f *clusterFleet) scale(warm ClusterRow) ClusterScale {
 
 // BuildClusterReport runs the cluster experiment end to end, enforcing
 // its own acceptance checks: zero warm solver queries, ring hits at every
-// multi-node size, byte-identical verdicts across fleet sizes, and warm
-// throughput increasing monotonically with node count.
+// multi-node size and byte-identical verdicts across fleet sizes.
 func BuildClusterReport(timeout time.Duration, cfg ClusterBenchConfig) (*ClusterReport, error) {
 	cfg = cfg.withDefaults()
 	draws := zipfDraws(cfg)
 	rep := &ClusterReport{
 		Benchmark: "BenchmarkClusterShardedThroughput",
-		Workload: fmt.Sprintf("%d jobs/round, zipfian(s=1.3) over %d role manifests (%d-package windows), distinct digests per submission, %v modeled job latency, 1 worker/node",
-			cfg.Jobs, cfg.Pool, serviceWindow, cfg.ModeledLatency),
+		Workload: fmt.Sprintf("%d jobs/round, zipfian(s=1.3) over %d role manifests (%d-package windows), distinct digests per submission, 1 worker/node",
+			cfg.Jobs, cfg.Pool, serviceWindow),
 		HostCPUs:          runtime.NumCPU(),
 		Seed:              cfg.Seed,
 		VerdictsIdentical: true,
@@ -452,11 +436,6 @@ func BuildClusterReport(timeout time.Duration, cfg ClusterBenchConfig) (*Cluster
 	}
 	for i := range rep.Scaling {
 		rep.Scaling[i].SpeedupOverOne = rep.Scaling[i].WarmJobsPerSec / rep.Scaling[0].WarmJobsPerSec
-		if i > 0 && rep.Scaling[i].WarmJobsPerSec <= rep.Scaling[i-1].WarmJobsPerSec {
-			return nil, fmt.Errorf("warm throughput not monotonic: %d nodes %.1f jobs/s vs %d nodes %.1f jobs/s",
-				rep.Scaling[i-1].Nodes, rep.Scaling[i-1].WarmJobsPerSec,
-				rep.Scaling[i].Nodes, rep.Scaling[i].WarmJobsPerSec)
-		}
 	}
 	return rep, nil
 }

@@ -9,18 +9,15 @@ package experiments
 //   - Synthetic matrix: the semantic-commute-heavy workload scaled to
 //     DiffWorkloadSize packages, edited at 1/5/25% (each edit swaps one
 //     package for an equivalent substitute) and checked at 1/4/8
-//     workers. Full-from-scratch vs diff-against-a-warm-base, with a
-//     modeled external-solver round trip per query so the avoided
-//     solver work dominates the wall clock the way it does against a
-//     real Z3 process.
+//     workers. Full-from-scratch vs diff-against-a-warm-base.
 //
 //   - Hosting headline: the largest seed benchmark (hosting.pp) under a
 //     catalog where the three LAMP packages share a base library, so a
 //     full check pays pairwise semantic-commutativity queries. A
 //     one-resource edit (one more Listen line in ports.conf) re-checks
 //     under the diff path with every package pair inherited — zero
-//     solver queries — which is where the ISSUE's >=5x modeled speedup
-//     comes from.
+//     solver queries. A full check must take at least
+//     MinHostingDiffSpeedup times as long as the diff.
 //
 // Both series self-check soundness, not just speed: diff verdicts must
 // equal full verdicts, unchanged-pair inheritance must be exact (no
@@ -28,10 +25,8 @@ package experiments
 // reach the solver.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -66,12 +61,6 @@ type DiffRow struct {
 // spans every closure in the check, so native per-query cost grows
 // with n).
 const DiffWorkloadSize = 12
-
-// ModeledDiffQueryLatency is the modeled external-solver round trip of
-// the synthetic series. Smaller than ModeledZ3Latency only to keep the
-// 66-query full runs tractable at one worker; the full-vs-diff ratio
-// is latency-independent once queries dominate.
-const ModeledDiffQueryLatency = 25 * time.Millisecond
 
 // DiffEditPercents are the edit fractions of the synthetic matrix.
 var DiffEditPercents = []int{1, 5, 25}
@@ -142,11 +131,9 @@ func checkDiff(baseSys *core.System, head string, opts core.Options) (*core.Dete
 // worker count, a full check of the head version from a cold cache
 // versus a differential check against a base warmed into a shared
 // cache. Every row uses private caches and a reset solver pool so rows
-// are independent; latency models the external-solver round trip per
-// query (0 measures native in-process queries, where load and
-// exploration — which the diff path still pays in full — compress the
-// ratio).
-func DiffSpeedup(timeout time.Duration, n int, percents, workers []int, latency time.Duration) ([]DiffRow, error) {
+// are independent. Load and exploration, which the diff path still pays
+// in full, bound the ratio.
+func DiffSpeedup(timeout time.Duration, n int, percents, workers []int) ([]DiffRow, error) {
 	var rows []DiffRow
 	for _, pct := range percents {
 		edits := n * pct / 100
@@ -161,7 +148,6 @@ func DiffSpeedup(timeout time.Duration, n int, percents, workers []int, latency 
 			opts.Provider = provider
 			opts.SemanticCommute = true
 			opts.Parallelism = w
-			opts.PerQueryLatency = latency
 
 			// Full verification of head, from scratch.
 			fullOpts := opts
@@ -238,23 +224,22 @@ func DiffSpeedup(timeout time.Duration, n int, percents, workers []int, latency 
 // HostingDiffResult is the headline measurement: a one-resource edit of
 // the largest seed manifest re-verified differentially versus in full.
 type HostingDiffResult struct {
-	Manifest         string  `json:"manifest"`
-	Workers          int     `json:"workers"`
-	ModeledLatencyMS int64   `json:"modeled_latency_ms"`
-	FullSeconds      float64 `json:"full_seconds"`
-	DiffSeconds      float64 `json:"diff_seconds"`
-	Speedup          float64 `json:"speedup"`
-	FullQueries      int     `json:"full_queries"`
-	DiffQueries      int     `json:"diff_queries"`
-	DiffChanged      int     `json:"diff_changed"`
-	DiffUnchanged    int     `json:"diff_unchanged"`
-	PairsReused      int     `json:"pairs_reused"`
-	PairsReverified  int     `json:"pairs_reverified"`
-	InheritMisses    int     `json:"inherit_misses"`
+	Manifest        string  `json:"manifest"`
+	Workers         int     `json:"workers"`
+	FullSeconds     float64 `json:"full_seconds"`
+	DiffSeconds     float64 `json:"diff_seconds"`
+	Speedup         float64 `json:"speedup"`
+	FullQueries     int     `json:"full_queries"`
+	DiffQueries     int     `json:"diff_queries"`
+	DiffChanged     int     `json:"diff_changed"`
+	DiffUnchanged   int     `json:"diff_unchanged"`
+	PairsReused     int     `json:"pairs_reused"`
+	PairsReverified int     `json:"pairs_reverified"`
+	InheritMisses   int     `json:"inherit_misses"`
 }
 
-// HostingDiffWorkers pins the headline run to one worker: the modeled
-// solver round trips serialize, matching the paper's single Z3 process.
+// HostingDiffWorkers pins the headline run to one worker: solver queries
+// serialize, matching the paper's single Z3 process.
 const HostingDiffWorkers = 1
 
 // hostingDiffCatalog builds the enriched catalog the hosting series
@@ -293,9 +278,8 @@ func hostingDiffCatalog() (pkgdb.Provider, error) {
 // original warmed into a shared cache. It self-checks soundness —
 // matching verdicts, a one-resource delta, exact inheritance and zero
 // solver queries on the diff run — and leaves the speedup threshold to
-// the caller (native runs are dominated by load and exploration, which
-// the diff path pays in full).
-func HostingDiffSpeedup(timeout time.Duration, latency time.Duration) (*HostingDiffResult, error) {
+// the caller.
+func HostingDiffSpeedup(timeout time.Duration) (*HostingDiffResult, error) {
 	bench, err := benchmarks.Get("hosting")
 	if err != nil {
 		return nil, err
@@ -316,7 +300,6 @@ func HostingDiffSpeedup(timeout time.Duration, latency time.Duration) (*HostingD
 	opts.Provider = provider
 	opts.SemanticCommute = true
 	opts.Parallelism = HostingDiffWorkers
-	opts.PerQueryLatency = latency
 
 	fullOpts := opts
 	fullOpts.SharedQueryCache = qcache.New()
@@ -369,18 +352,17 @@ func HostingDiffSpeedup(timeout time.Duration, latency time.Duration) (*HostingD
 		return nil, fmt.Errorf("hosting diff: diff run issued %d solver queries, want 0 (every package pair is unchanged)", res.Stats.SemQueries)
 	}
 	out := &HostingDiffResult{
-		Manifest:         bench.Name,
-		Workers:          HostingDiffWorkers,
-		ModeledLatencyMS: latency.Milliseconds(),
-		FullSeconds:      fullTime.Seconds(),
-		DiffSeconds:      diffTime.Seconds(),
-		FullQueries:      full.Stats.SemQueries,
-		DiffQueries:      res.Stats.SemQueries,
-		DiffChanged:      res.Stats.DiffChanged,
-		DiffUnchanged:    res.Stats.DiffUnchanged,
-		PairsReused:      res.Stats.PairsReused,
-		PairsReverified:  res.Stats.PairsReverified,
-		InheritMisses:    res.Stats.InheritMisses,
+		Manifest:        bench.Name,
+		Workers:         HostingDiffWorkers,
+		FullSeconds:     fullTime.Seconds(),
+		DiffSeconds:     diffTime.Seconds(),
+		FullQueries:     full.Stats.SemQueries,
+		DiffQueries:     res.Stats.SemQueries,
+		DiffChanged:     res.Stats.DiffChanged,
+		DiffUnchanged:   res.Stats.DiffUnchanged,
+		PairsReused:     res.Stats.PairsReused,
+		PairsReverified: res.Stats.PairsReverified,
+		InheritMisses:   res.Stats.InheritMisses,
 	}
 	if out.DiffSeconds > 0 {
 		out.Speedup = out.FullSeconds / out.DiffSeconds
@@ -392,58 +374,50 @@ func HostingDiffSpeedup(timeout time.Duration, latency time.Duration) (*HostingD
 // edit-fraction x worker matrix plus the hosting headline, with enough
 // host context to interpret the wall clocks.
 type DiffReport struct {
-	Benchmark             string             `json:"benchmark"`
-	Workload              string             `json:"workload"`
-	HostCPUs              int                `json:"host_cpus"`
-	ModeledQueryLatencyMS int64              `json:"modeled_query_latency_ms"`
-	Synthetic             []DiffRow          `json:"synthetic"`
-	Hosting               *HostingDiffResult `json:"hosting"`
-	OneEditSpeedup        float64            `json:"one_edit_speedup"` // smallest edit, most workers
-	HostingSpeedup        float64            `json:"hosting_speedup"`
+	Benchmark      string             `json:"benchmark"`
+	Workload       string             `json:"workload"`
+	HostCPUs       int                `json:"host_cpus"`
+	Synthetic      []DiffRow          `json:"synthetic"`
+	Hosting        *HostingDiffResult `json:"hosting"`
+	OneEditSpeedup float64            `json:"one_edit_speedup"` // smallest edit, most workers
+	HostingSpeedup float64            `json:"hosting_speedup"`
 }
 
 // MinHostingDiffSpeedup is the acceptance floor for the headline: a
 // one-resource edit of the largest seed manifest must re-verify at
-// least this much faster than a full modeled check.
+// least this much faster than a full check, both run natively.
 const MinHostingDiffSpeedup = 5.0
 
 // BuildDiffReport runs both series of the differential-verification
 // experiment and enforces the headline threshold.
 func BuildDiffReport(timeout time.Duration) (*DiffReport, error) {
-	synthetic, err := DiffSpeedup(timeout, DiffWorkloadSize, DiffEditPercents, DiffWorkers, ModeledDiffQueryLatency)
+	synthetic, err := DiffSpeedup(timeout, DiffWorkloadSize, DiffEditPercents, DiffWorkers)
 	if err != nil {
 		return nil, err
 	}
-	hosting, err := HostingDiffSpeedup(timeout, ModeledZ3Latency)
+	hosting, err := HostingDiffSpeedup(timeout)
 	if err != nil {
 		return nil, err
 	}
 	if hosting.Speedup < MinHostingDiffSpeedup {
-		return nil, fmt.Errorf("hosting diff: modeled speedup %.2fx below the %.0fx floor for a one-resource edit",
+		return nil, fmt.Errorf("hosting diff: speedup %.2fx below the %.0fx floor for a one-resource edit",
 			hosting.Speedup, MinHostingDiffSpeedup)
 	}
 	rep := &DiffReport{
 		Benchmark: "BenchmarkDiffSpeedup",
 		Workload: fmt.Sprintf("%d packages with overlapping dependency closures (%d pairwise semantic queries), edited at %v%%, plus a one-resource edit of hosting.pp",
 			DiffWorkloadSize, DiffWorkloadSize*(DiffWorkloadSize-1)/2, DiffEditPercents),
-		HostCPUs:              runtime.NumCPU(),
-		ModeledQueryLatencyMS: ModeledDiffQueryLatency.Milliseconds(),
-		Synthetic:             synthetic,
-		Hosting:               hosting,
-		OneEditSpeedup:        diffSpeedupAt(synthetic, DiffEditPercents[0], DiffWorkers[len(DiffWorkers)-1]),
-		HostingSpeedup:        hosting.Speedup,
+		HostCPUs:       runtime.NumCPU(),
+		Synthetic:      synthetic,
+		Hosting:        hosting,
+		OneEditSpeedup: diffSpeedupAt(synthetic, DiffEditPercents[0], DiffWorkers[len(DiffWorkers)-1]),
+		HostingSpeedup: hosting.Speedup,
 	}
 	return rep, nil
 }
 
 // Write writes the report as indented JSON to path.
-func (r *DiffReport) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (r *DiffReport) Write(path string) error { return writeJSON(path, r) }
 
 func diffSpeedupAt(rows []DiffRow, pct, workers int) float64 {
 	for _, r := range rows {

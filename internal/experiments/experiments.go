@@ -5,8 +5,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/benchmarks"
@@ -37,6 +39,16 @@ func check(src string, opts core.Options) (*core.DeterminismResult, time.Duratio
 		return nil, elapsed, false, err
 	}
 	return res, elapsed, false, nil
+}
+
+// writeJSON writes v as indented JSON to path: the trajectory-point
+// format every -*-out flag of cmd/experiments writes.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // PathsRow is one line of figure 11a.

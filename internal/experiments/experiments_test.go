@@ -90,11 +90,11 @@ func TestBugsShape(t *testing.T) {
 }
 
 func TestDiffSpeedupShape(t *testing.T) {
-	// Small native-latency instance of the synthetic matrix; the
+	// Small instance of the synthetic matrix; the
 	// soundness self-checks (matching verdicts, exact inheritance, zero
 	// solver work for inherited pairs) run inside DiffSpeedup.
 	const n = 6
-	rows, err := DiffSpeedup(timeout, n, []int{25}, []int{2}, 0)
+	rows, err := DiffSpeedup(timeout, n, []int{25}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,9 @@ func TestDiffSpeedupShape(t *testing.T) {
 }
 
 func TestHostingDiffShape(t *testing.T) {
-	// Native latency keeps the test fast; HostingDiffSpeedup enforces
-	// the soundness invariants (one-resource delta, zero diff-run solver
-	// queries, matching verdicts) internally.
-	res, err := HostingDiffSpeedup(timeout, 0)
+	// HostingDiffSpeedup enforces the soundness invariants (one-resource
+	// delta, zero diff-run solver queries, matching verdicts) internally.
+	res, err := HostingDiffSpeedup(timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

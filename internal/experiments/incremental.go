@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -29,21 +27,6 @@ type IncrementalRow struct {
 // runs at; the experiment varies solver strategy, not parallelism.
 const IncrementalWorkers = 4
 
-// Modeled latencies for the incremental experiment. With an external
-// solver (the paper's Z3 behind IPC), a fresh-solver query pays process
-// construction — spawn, theory setup and full problem transmission — on
-// top of the check round trip; an incremental query against a pooled
-// solver pays only the round trip, because the problem clauses, learnt
-// clauses and compiled terms are already resident. ModeledSolverStartup
-// reuses the ModeledZ3Latency sizing (construction is dominated by the
-// same IPC and problem-loading costs the fresh round trip pays);
-// ModeledIncrementalLatency is the far smaller assumption-scoped
-// check-sat round trip.
-const (
-	ModeledSolverStartup      = ModeledZ3Latency
-	ModeledIncrementalLatency = 50 * time.Millisecond
-)
-
 // IncrementalSpeedup measures the determinacy check on the parallel
 // workload under three solver strategies: fresh (an isolated solver per
 // query — the pre-incremental baseline), pooled-cold (incremental solver
@@ -51,20 +34,15 @@ const (
 // previous check of the same vocabulary). Every run uses a private, cold
 // query cache so no row reads verdicts another row computed; verdicts are
 // identical across strategies (the differential tests in internal/core
-// enforce it), so the rows measure pure solver-reuse speedup.
-//
-// queryLatency and solverLatency model the external-solver costs
-// described above; both 0 measures native in-process behavior, where the
-// saving is the (much smaller) encoder/solver construction and
-// re-compilation time.
-func IncrementalSpeedup(timeout time.Duration, queryLatency, solverLatency time.Duration) ([]IncrementalRow, error) {
+// enforce it), so the rows measure pure solver-reuse speedup: the
+// encoder/solver construction and re-compilation time a pooled session
+// saves.
+func IncrementalSpeedup(timeout time.Duration) ([]IncrementalRow, error) {
 	manifest, provider := ParallelWorkload(ParallelWorkloadSize)
 	base := options(timeout)
 	base.Provider = provider
 	base.SemanticCommute = true
 	base.Parallelism = IncrementalWorkers
-	base.PerQueryLatency = queryLatency
-	base.PerSolverLatency = solverLatency
 
 	modes := []struct {
 		name  string
@@ -102,36 +80,25 @@ func IncrementalSpeedup(timeout time.Duration, queryLatency, solverLatency time.
 	return rows, nil
 }
 
-// IncrementalReport is the BENCH_incremental.json trajectory point: both
-// series of the incremental-backend experiment plus host context. The
-// Native series measures real in-process solving, where pooling trades
-// per-query vocabulary size (the shared vocabulary spans every resource in
-// the check, not just the pair's) for amortized compilation — on in-process
-// solvers that trade can come out at or below break-even. The ModeledZ3
-// series adds the modeled external-solver costs the backend is built for:
-// there the fresh path pays solver construction on every query and the
-// pooled path only on pool misses, so warm pools win decisively.
+// IncrementalReport is the BENCH_incremental.json trajectory point: the
+// native series of the incremental-backend experiment plus host context.
+// Pooling trades per-query vocabulary size (the shared vocabulary spans
+// every resource in the check, not just the pair's) for amortized
+// compilation; on in-process solvers that trade can come out at or below
+// break-even.
 type IncrementalReport struct {
-	Benchmark              string           `json:"benchmark"`
-	Workload               string           `json:"workload"`
-	HostCPUs               int              `json:"host_cpus"`
-	Workers                int              `json:"workers"`
-	ModeledQueryLatencyMS  int64            `json:"modeled_query_latency_ms"`
-	ModeledSolverStartupMS int64            `json:"modeled_solver_startup_ms"`
-	Native                 []IncrementalRow `json:"native"`
-	ModeledZ3              []IncrementalRow `json:"modeled_z3"`
-	NativeWarmSpeedup      float64          `json:"native_warm_speedup"`  // fresh / pooled-warm, native
-	ModeledWarmSpeedup     float64          `json:"modeled_warm_speedup"` // fresh / pooled-warm, modeled
-	ModeledColdSpeedup     float64          `json:"modeled_cold_speedup"` // fresh / pooled-cold, modeled
+	Benchmark         string           `json:"benchmark"`
+	Workload          string           `json:"workload"`
+	HostCPUs          int              `json:"host_cpus"`
+	Workers           int              `json:"workers"`
+	Native            []IncrementalRow `json:"native"`
+	NativeWarmSpeedup float64          `json:"native_warm_speedup"` // fresh / pooled-warm
+	NativeColdSpeedup float64          `json:"native_cold_speedup"` // fresh / pooled-cold
 }
 
-// BuildIncrementalReport runs both series of the incremental experiment.
+// BuildIncrementalReport runs the incremental experiment.
 func BuildIncrementalReport(timeout time.Duration) (*IncrementalReport, error) {
-	native, err := IncrementalSpeedup(timeout, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	modeled, err := IncrementalSpeedup(timeout, ModeledIncrementalLatency, ModeledSolverStartup)
+	native, err := IncrementalSpeedup(timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -139,26 +106,16 @@ func BuildIncrementalReport(timeout time.Duration) (*IncrementalReport, error) {
 		Benchmark: "BenchmarkIncrementalSpeedup",
 		Workload: fmt.Sprintf("%d packages with overlapping dependency closures: %d pairwise semantic-commutativity queries at %d workers",
 			ParallelWorkloadSize, ParallelWorkloadSize*(ParallelWorkloadSize-1)/2, IncrementalWorkers),
-		HostCPUs:               runtime.NumCPU(),
-		Workers:                IncrementalWorkers,
-		ModeledQueryLatencyMS:  ModeledIncrementalLatency.Milliseconds(),
-		ModeledSolverStartupMS: ModeledSolverStartup.Milliseconds(),
-		Native:                 native,
-		ModeledZ3:              modeled,
-		NativeWarmSpeedup:      speedupOver(native, "fresh", "pooled-warm"),
-		ModeledWarmSpeedup:     speedupOver(modeled, "fresh", "pooled-warm"),
-		ModeledColdSpeedup:     speedupOver(modeled, "fresh", "pooled-cold"),
+		HostCPUs:          runtime.NumCPU(),
+		Workers:           IncrementalWorkers,
+		Native:            native,
+		NativeWarmSpeedup: speedupOver(native, "fresh", "pooled-warm"),
+		NativeColdSpeedup: speedupOver(native, "fresh", "pooled-cold"),
 	}, nil
 }
 
 // Write writes the report as indented JSON to path.
-func (r *IncrementalReport) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (r *IncrementalReport) Write(path string) error { return writeJSON(path, r) }
 
 func speedupOver(rows []IncrementalRow, baseMode, mode string) float64 {
 	var base, at float64

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -24,19 +23,10 @@ type InterningRow struct {
 	TimedOut       bool          `json:"timed_out"`
 }
 
-// ModeledEncodeLatency is the modeled cost of compiling one component
-// subtree of a commutativity query into an external solver's term language
-// (transmitting and asserting a package model's guarded-mkdir tree over
-// IPC). Sized well below the check round trip (ModeledZ3Latency): encoding
-// is cheaper than solving, but a fresh query pays it four times while a
-// warm memoized session pays it not at all.
-const ModeledEncodeLatency = 25 * time.Millisecond
-
 // InterningWorkers is the worker count of the interning experiment: one.
 // The experiment varies the encode strategy, and a single worker keeps the
 // comparison clean — one session sees every query (so the warm mode's memo
-// coverage is total, not split across per-worker sessions) and modeled
-// sleeps cannot overlap across workers.
+// coverage is total, not split across per-worker sessions).
 const InterningWorkers = 1
 
 // EncodeMemoSpeedup measures the determinacy check on the parallel
@@ -47,14 +37,13 @@ const InterningWorkers = 1
 // interned-warm (sessions already primed by a previous check). Every run
 // gets a private cold query cache; verdicts are identical across modes
 // (internal/core's differential tests enforce it), so rows measure pure
-// encode amortization under the modeled per-subtree latency.
-func EncodeMemoSpeedup(timeout time.Duration, encodeLatency time.Duration) ([]InterningRow, error) {
+// encode amortization.
+func EncodeMemoSpeedup(timeout time.Duration) ([]InterningRow, error) {
 	manifest, provider := ParallelWorkload(ParallelWorkloadSize)
 	base := options(timeout)
 	base.Provider = provider
 	base.SemanticCommute = true
 	base.Parallelism = InterningWorkers
-	base.PerEncodeLatency = encodeLatency
 
 	modes := []struct {
 		name  string
@@ -96,11 +85,10 @@ func EncodeMemoSpeedup(timeout time.Duration, encodeLatency time.Duration) ([]In
 // DiskCacheSpeedup measures the two-tier verdict cache across process
 // restarts: a cold check (empty directory, every verdict solved and
 // written through) and a warm check of the same manifest with a fresh
-// memory tier over the same directory, under the modeled external-solver
-// round trip. The warm run must answer every semantic decision from disk —
+// memory tier over the same directory. The warm run must answer every semantic decision from disk —
 // zero solver queries — or the function errors; the CI smoke job leans on
 // this self-check.
-func DiskCacheSpeedup(timeout time.Duration, queryLatency time.Duration) ([]InterningRow, error) {
+func DiskCacheSpeedup(timeout time.Duration) ([]InterningRow, error) {
 	dir, err := os.MkdirTemp("", "qcache-bench-*")
 	if err != nil {
 		return nil, err
@@ -111,7 +99,6 @@ func DiskCacheSpeedup(timeout time.Duration, queryLatency time.Duration) ([]Inte
 	base.Provider = provider
 	base.SemanticCommute = true
 	base.Parallelism = InterningWorkers
-	base.PerQueryLatency = queryLatency
 	base.CacheDir = dir
 
 	var rows []InterningRow
@@ -209,27 +196,25 @@ func measureDigests(timeout time.Duration) (*DigestSeries, error) {
 // encode-memoization series, the disk-tier series and the digest
 // micro-series, plus host context.
 type InterningReport struct {
-	Benchmark              string         `json:"benchmark"`
-	Workload               string         `json:"workload"`
-	HostCPUs               int            `json:"host_cpus"`
-	Workers                int            `json:"workers"`
-	ModeledEncodeLatencyMS int64          `json:"modeled_encode_latency_ms"`
-	ModeledQueryLatencyMS  int64          `json:"modeled_query_latency_ms"`
-	Encode                 []InterningRow `json:"encode"`
-	Disk                   []InterningRow `json:"disk"`
-	Digest                 *DigestSeries  `json:"digest"`
-	EncodeColdSpeedup      float64        `json:"encode_cold_speedup"` // fresh-plain / interned-cold
-	EncodeWarmSpeedup      float64        `json:"encode_warm_speedup"` // fresh-plain / interned-warm
-	DiskWarmSpeedup        float64        `json:"disk_warm_speedup"`   // disk-cold / disk-warm
+	Benchmark         string         `json:"benchmark"`
+	Workload          string         `json:"workload"`
+	HostCPUs          int            `json:"host_cpus"`
+	Workers           int            `json:"workers"`
+	Encode            []InterningRow `json:"encode"`
+	Disk              []InterningRow `json:"disk"`
+	Digest            *DigestSeries  `json:"digest"`
+	EncodeColdSpeedup float64        `json:"encode_cold_speedup"` // fresh-plain / interned-cold
+	EncodeWarmSpeedup float64        `json:"encode_warm_speedup"` // fresh-plain / interned-warm
+	DiskWarmSpeedup   float64        `json:"disk_warm_speedup"`   // disk-cold / disk-warm
 }
 
 // BuildInterningReport runs all three series of the interning experiment.
 func BuildInterningReport(timeout time.Duration) (*InterningReport, error) {
-	encode, err := EncodeMemoSpeedup(timeout, ModeledEncodeLatency)
+	encode, err := EncodeMemoSpeedup(timeout)
 	if err != nil {
 		return nil, err
 	}
-	disk, err := DiskCacheSpeedup(timeout, ModeledZ3Latency)
+	disk, err := DiskCacheSpeedup(timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -241,27 +226,19 @@ func BuildInterningReport(timeout time.Duration) (*InterningReport, error) {
 		Benchmark: "BenchmarkInterningSpeedup",
 		Workload: fmt.Sprintf("%d packages with overlapping dependency closures: %d pairwise semantic-commutativity queries at %d worker(s)",
 			ParallelWorkloadSize, ParallelWorkloadSize*(ParallelWorkloadSize-1)/2, InterningWorkers),
-		HostCPUs:               runtime.NumCPU(),
-		Workers:                InterningWorkers,
-		ModeledEncodeLatencyMS: ModeledEncodeLatency.Milliseconds(),
-		ModeledQueryLatencyMS:  ModeledZ3Latency.Milliseconds(),
-		Encode:                 encode,
-		Disk:                   disk,
-		Digest:                 digest,
-		EncodeColdSpeedup:      interningSpeedup(encode, "fresh-plain", "interned-cold"),
-		EncodeWarmSpeedup:      interningSpeedup(encode, "fresh-plain", "interned-warm"),
-		DiskWarmSpeedup:        interningSpeedup(disk, "disk-cold", "disk-warm"),
+		HostCPUs:          runtime.NumCPU(),
+		Workers:           InterningWorkers,
+		Encode:            encode,
+		Disk:              disk,
+		Digest:            digest,
+		EncodeColdSpeedup: interningSpeedup(encode, "fresh-plain", "interned-cold"),
+		EncodeWarmSpeedup: interningSpeedup(encode, "fresh-plain", "interned-warm"),
+		DiskWarmSpeedup:   interningSpeedup(disk, "disk-cold", "disk-warm"),
 	}, nil
 }
 
 // Write writes the report as indented JSON to path.
-func (r *InterningReport) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (r *InterningReport) Write(path string) error { return writeJSON(path, r) }
 
 func interningSpeedup(rows []InterningRow, baseMode, mode string) float64 {
 	var base, at float64

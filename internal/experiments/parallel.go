@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pkgdb"
 	"repro/internal/qcache"
 )
@@ -55,24 +54,21 @@ func ParallelWorkload(n int) (string, pkgdb.Provider) {
 }
 
 // ParallelSpeedup measures the determinacy check on the parallel workload
-// at each worker count. Every run uses a private, cold query cache so the
-// configurations are comparable; verdicts are identical at any worker
+// at each worker count. Every run uses a private, cold query cache and a
+// cold solver pool so the configurations are comparable; verdicts are identical at any worker
 // count (the analysis order is sequential and the queries deterministic),
-// so the rows measure pure solver-fan-out speedup.
-//
-// latency models an external solver round trip per query (see
-// core.Options.PerQueryLatency); 0 measures native in-process queries,
-// whose fan-out speedup is bounded by the host's core count.
-func ParallelSpeedup(timeout time.Duration, workers []int, latency time.Duration) ([]ParallelRow, error) {
+// so the rows measure pure solver-fan-out speedup, bounded by the host's
+// core count.
+func ParallelSpeedup(timeout time.Duration, workers []int) ([]ParallelRow, error) {
 	manifest, provider := ParallelWorkload(ParallelWorkloadSize)
 	rows := make([]ParallelRow, 0, len(workers))
 	for _, w := range workers {
+		core.ResetSolverPools()
 		opts := options(timeout)
 		opts.Provider = provider
 		opts.SemanticCommute = true
 		opts.Parallelism = w
 		opts.SharedQueryCache = qcache.New()
-		opts.PerQueryLatency = latency
 		res, elapsed, timedOut, err := check(manifest, opts)
 		if err != nil {
 			return nil, fmt.Errorf("parallel workload at %d workers: %w", w, err)
@@ -90,59 +86,35 @@ func ParallelSpeedup(timeout time.Duration, workers []int, latency time.Duration
 	return rows, nil
 }
 
-// ParallelReport is the BENCH_parallel.json trajectory point: both series
-// of the speedup experiment plus enough host context to interpret them.
-// The Native series fans real in-process solver queries, so its speedup
-// is bounded by HostCPUs; the ModeledZ3 series adds a modeled external-
-// solver round trip per query (the paper's Z3 ran behind IPC), so it
-// demonstrates the engine's query overlap even on single-core hosts.
+// ParallelReport is the BENCH_parallel.json trajectory point: the native
+// speedup series plus enough host context to interpret it. Queries run
+// in-process, so the speedup is bounded by HostCPUs.
 type ParallelReport struct {
-	Benchmark        string        `json:"benchmark"`
-	Workload         string        `json:"workload"`
-	HostCPUs         int           `json:"host_cpus"`
-	ModeledLatencyMS int64         `json:"modeled_latency_ms"`
-	Native           []ParallelRow `json:"native"`
-	ModeledZ3        []ParallelRow `json:"modeled_z3"`
-	NativeSpeedup4   float64       `json:"native_speedup_at_4"`
-	ModeledSpeedup4  float64       `json:"modeled_speedup_at_4"`
+	Benchmark      string        `json:"benchmark"`
+	Workload       string        `json:"workload"`
+	HostCPUs       int           `json:"host_cpus"`
+	Native         []ParallelRow `json:"native"`
+	NativeSpeedup4 float64       `json:"native_speedup_at_4"`
 }
 
-// ModeledZ3Latency is the modeled external-solver round trip used by the
-// ModeledZ3 series, sized like a fast local Z3 process call.
-const ModeledZ3Latency = 250 * time.Millisecond
-
-// BuildParallelReport runs both series of the speedup experiment.
+// BuildParallelReport runs the speedup experiment.
 func BuildParallelReport(timeout time.Duration, workers []int) (*ParallelReport, error) {
-	native, err := ParallelSpeedup(timeout, workers, 0)
+	native, err := ParallelSpeedup(timeout, workers)
 	if err != nil {
 		return nil, err
 	}
-	modeled, err := ParallelSpeedup(timeout, workers, ModeledZ3Latency)
-	if err != nil {
-		return nil, err
-	}
-	rep := &ParallelReport{
+	return &ParallelReport{
 		Benchmark: "BenchmarkParallelSpeedup",
 		Workload: fmt.Sprintf("%d packages with overlapping dependency closures: %d pairwise semantic-commutativity queries",
 			ParallelWorkloadSize, ParallelWorkloadSize*(ParallelWorkloadSize-1)/2),
-		HostCPUs:         runtime.NumCPU(),
-		ModeledLatencyMS: ModeledZ3Latency.Milliseconds(),
-		Native:           native,
-		ModeledZ3:        modeled,
-		NativeSpeedup4:   speedupAt(native, 4),
-		ModeledSpeedup4:  speedupAt(modeled, 4),
-	}
-	return rep, nil
+		HostCPUs:       runtime.NumCPU(),
+		Native:         native,
+		NativeSpeedup4: speedupAt(native, 4),
+	}, nil
 }
 
-// WriteParallelReport writes the report as indented JSON to path.
-func (r *ParallelReport) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+// Write writes the report as indented JSON to path.
+func (r *ParallelReport) Write(path string) error { return writeJSON(path, r) }
 
 func speedupAt(rows []ParallelRow, workers int) float64 {
 	var base, at float64

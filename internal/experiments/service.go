@@ -18,9 +18,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -245,10 +243,4 @@ func BuildServiceReport(timeout time.Duration) (*ServiceReport, error) {
 }
 
 // Write writes the report as indented JSON to path.
-func (r *ServiceReport) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (r *ServiceReport) Write(path string) error { return writeJSON(path, r) }

@@ -1,7 +1,7 @@
 // Package leakcheck is the shared resource-leak oracle: snapshot the
 // process's goroutine count, open file descriptors and heap before a
 // workload, run it, and assert that everything settled back afterwards.
-// The service, cluster, solver-racing and fault tests all need the same
+// The service, cluster and fault tests all need the same
 // discipline — "this code path must not strand a goroutine or socket" —
 // and the soak rig (cmd/rehearsal-load) enforces it over minutes-long
 // runs, so the snapshot/settle/diff logic lives here once instead of as

@@ -1,13 +1,13 @@
 package sat
 
-// Solver configuration and the portfolio config space.
+// Solver configuration and a space of diverse configs.
 //
 // A Config captures every search-heuristic knob the CDCL core exposes:
 // activity decay rates, phase-initialization policy, restart schedule,
 // random-decision frequency, RNG seed and reduce-DB aggressiveness. None
 // of these affect the SAT/UNSAT verdict — they only steer which proof or
-// model the search finds first — which is exactly what makes racing
-// diverse configs per query sound: the first verdict is the verdict.
+// model the search finds first — so a verdict never depends on the
+// config that produced it.
 //
 // The zero Config reproduces the solver's historical behavior bit for
 // bit, so New() remains NewWithConfig(Config{}) and every existing test
@@ -124,7 +124,8 @@ func (c Config) withDefaults() Config {
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 // PortfolioConfigs returns k deterministic, intentionally diverse solver
-// configurations for portfolio racing. Index 0 is always the default
+// configurations; the differential fuzzer checks that verdicts and
+// canonical witnesses agree across them. Index 0 is always the default
 // config. The configs differ along the axes that most change search
 // trajectories — restart schedule, phase initialization, decay rates and
 // randomization — because on heavy-tailed SAT instances the minimum over

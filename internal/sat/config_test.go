@@ -32,7 +32,7 @@ func loadPHP(s *Solver, holes int) {
 	}
 }
 
-// Configs steer search, never the verdict: every portfolio config must
+// Configs steer search, never the verdict: every diverse config must
 // prove the same UNSAT instance and solve the same SAT instance (with a
 // model that satisfies the clauses — models may differ, verdicts not).
 func TestConfigVerdictIndependence(t *testing.T) {
@@ -71,7 +71,7 @@ func TestConfigVerdictIndependence(t *testing.T) {
 	}
 }
 
-// The portfolio config space is deterministic and well-formed: stable
+// The diverse config space is deterministic and well-formed: stable
 // across calls, default-first, unique names, and every knob normalized.
 func TestPortfolioConfigsShape(t *testing.T) {
 	a, b := PortfolioConfigs(8), PortfolioConfigs(8)

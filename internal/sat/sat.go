@@ -151,7 +151,7 @@ type Solver struct {
 	// cfg holds the normalized search-heuristic knobs (see config.go);
 	// rngState is the config-seeded xorshift64 state behind RandomFreq
 	// and PhaseRandom. stop, when set, lets another goroutine abandon a
-	// running Solve — the portfolio runner's loser cancellation.
+	// running Solve — how a canceled determinacy check stops its search.
 	cfg      Config
 	rngState uint64
 	stop     *atomic.Bool
@@ -268,15 +268,12 @@ func (s *Solver) randFloat() float64 {
 // SetStop installs (or with nil clears) a cancellation flag checked on
 // every Solve iteration and between clauses of the root-level
 // subsumption pass: when the flag becomes true, Solve backtracks to
-// the root level and returns Unknown. The solver remains usable — losing
-// a portfolio race does not poison the session.
+// the root level and returns Unknown. The solver remains usable — a
+// stopped search does not poison the session.
 func (s *Solver) SetStop(f *atomic.Bool) { s.stop = f }
 
 // stopRequested reports whether the installed stop flag is set.
 func (s *Solver) stopRequested() bool { return s.stop != nil && s.stop.Load() }
-
-// ConfigName returns the name of the solver's search configuration.
-func (s *Solver) ConfigName() string { return s.cfg.Name }
 
 func (s *Solver) litValue(l Lit) value {
 	v := s.assigns[l.Var()]

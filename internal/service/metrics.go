@@ -123,10 +123,6 @@ type metrics struct {
 	solverConflicts    atomic.Int64
 	solverRestarts     atomic.Int64
 
-	// Portfolio-racing counters (all zero unless -portfolio is set).
-	portfolioEscalations atomic.Int64
-	portfolioRaces       atomic.Int64
-
 	// Cluster routing counters (all zero outside a cluster).
 	routedLocal    atomic.Int64 // submissions this node owned and ran
 	routedProxied  atomic.Int64 // submissions forwarded to their ring owner
@@ -154,8 +150,6 @@ func (m *metrics) absorb(rep *Report) {
 		m.solverPropagations.Add(rep.Stats.SolverPropagations)
 		m.solverConflicts.Add(rep.Stats.SolverConflicts)
 		m.solverRestarts.Add(rep.Stats.SolverRestarts)
-		m.portfolioEscalations.Add(int64(rep.Stats.PortfolioEscalations))
-		m.portfolioRaces.Add(int64(rep.Stats.PortfolioRaces))
 	}
 	if rep.Determinism != nil {
 		m.detLatency.observe(time.Duration(rep.Determinism.DurationMS * float64(time.Millisecond)))
@@ -198,8 +192,6 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap, workers int, ready bo
 	p("rehearsald_solver_propagations_total %d", m.solverPropagations.Load())
 	p("rehearsald_solver_conflicts_total %d", m.solverConflicts.Load())
 	p("rehearsald_solver_restarts_total %d", m.solverRestarts.Load())
-	p("rehearsald_portfolio_escalations_total %d", m.portfolioEscalations.Load())
-	p("rehearsald_portfolio_races_total %d", m.portfolioRaces.Load())
 	if q, h := m.solverQueries.Load(), m.semCacheHits.Load(); q+h > 0 {
 		p("rehearsald_sem_cache_hit_ratio %.4f", float64(h)/float64(q+h))
 	} else {

@@ -148,12 +148,6 @@ type StatsReport struct {
 	SolverPropagations int64 `json:"solver_propagations,omitempty"`
 	SolverConflicts    int64 `json:"solver_conflicts,omitempty"`
 	SolverRestarts     int64 `json:"solver_restarts,omitempty"`
-
-	// Portfolio-racing counters, present only when Options.Portfolio is
-	// enabled and a query escalated to a race.
-	PortfolioEscalations int            `json:"portfolio_escalations,omitempty"`
-	PortfolioRaces       int            `json:"portfolio_races,omitempty"`
-	WinnerByConfig       map[string]int `json:"winner_by_config,omitempty"`
 }
 
 func stateJSON(st fs.State) FSState {
@@ -224,10 +218,6 @@ func statsJSON(s core.Stats) *StatsReport {
 		SolverPropagations: s.SolverPropagations,
 		SolverConflicts:    s.SolverConflicts,
 		SolverRestarts:     s.SolverRestarts,
-
-		PortfolioEscalations: s.PortfolioEscalations,
-		PortfolioRaces:       s.PortfolioRaces,
-		WinnerByConfig:       s.WinnerByConfig,
 	}
 }
 

@@ -73,11 +73,6 @@ type Config struct {
 	// core.SubstrateConfig.RemoteTier), submissions are digest-routed to
 	// their ring owner, and the peer cache/ring endpoints are served.
 	Cluster *cluster.Node
-	// ModeledJobLatency, when > 0, floors each job's execution time with a
-	// sleep. Benchmarks use it to model real per-job work (solver time,
-	// catalog I/O) so scheduling and routing effects are measurable on one
-	// machine; production leaves it 0.
-	ModeledJobLatency time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -265,16 +260,6 @@ func (s *scheduler) runJob(job *Job) {
 	opts.Context = ctx
 	opts.Timeout = job.Req.Timeout(s.cfg.JobTimeout)
 
-	if d := s.cfg.ModeledJobLatency; d > 0 {
-		// Model real per-job work with a cancelable sleep floor. Sleeps
-		// don't burn CPU, so N colocated bench nodes each keep their full
-		// modeled capacity — aggregate throughput then reflects scheduling
-		// and routing, not contention for one machine's cores.
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-		}
-	}
 	rep := BuildReport(job.Req, opts)
 	job.finish(rep)
 	s.met.running.Add(-1)

@@ -144,15 +144,12 @@ func (s *Solver) SetDeadline(t time.Time) { s.sat.Deadline = t }
 
 // SetStop installs (or with nil clears) a cancellation flag on the SAT
 // backend: a running Check returns sat.Unknown shortly after the flag
-// becomes true, leaving the solver reusable. The portfolio runner uses
-// it to cancel losing configs.
+// becomes true, leaving the solver reusable. Cancellation of a
+// determinacy check reaches the search through it.
 func (s *Solver) SetStop(f *atomic.Bool) { s.sat.SetStop(f) }
 
 // Counters returns the SAT backend's cumulative search counters.
 func (s *Solver) Counters() sat.Counters { return s.sat.Counters() }
-
-// ConfigName returns the name of the SAT backend's search configuration.
-func (s *Solver) ConfigName() string { return s.sat.ConfigName() }
 
 // Stats reports the underlying SAT solver statistics.
 func (s *Solver) Stats() string { return s.sat.Stats() }

@@ -3,6 +3,7 @@ package sym
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/fs"
 	"repro/internal/sat"
@@ -46,6 +47,32 @@ type Options struct {
 	Metrics *Metrics
 }
 
+// Metrics accumulates SAT search counters across concurrent queries.
+// All methods are safe for concurrent use.
+type Metrics struct {
+	decisions    atomic.Int64
+	propagations atomic.Int64
+	conflicts    atomic.Int64
+	restarts     atomic.Int64
+}
+
+func (m *Metrics) add(c sat.Counters) {
+	m.decisions.Add(c.Decisions)
+	m.propagations.Add(c.Propagations)
+	m.conflicts.Add(c.Conflicts)
+	m.restarts.Add(c.Restarts)
+}
+
+// Counters returns the accumulated totals.
+func (m *Metrics) Counters() sat.Counters {
+	return sat.Counters{
+		Decisions:    m.decisions.Load(),
+		Propagations: m.propagations.Load(),
+		Conflicts:    m.conflicts.Load(),
+		Restarts:     m.restarts.Load(),
+	}
+}
+
 // Equiv decides whether e1 ≡ e2: the same outcome (final state or error) on
 // every input filesystem over the bounded domain of figure 8. It is sound
 // and complete (lemmas 2 and 3). On inequivalence it returns a concrete
@@ -85,9 +112,8 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 // kinds ordered none < dir < file. Minimality is a property of the
 // asserted formula alone — not of the model the search happened to find,
 // the solver configuration, the restart schedule or the worker count — so
-// every portfolio config, and the single-config baseline, extracts the
-// byte-identical witness. That is what keeps report fingerprints stable
-// when races are enabled.
+// every solver config, fresh or pooled, extracts the byte-identical
+// witness. That is what keeps report fingerprints stable.
 //
 // The walk pins one path at a time: for each path in order it finds the
 // smallest kind consistent with the formula and the pins so far. The

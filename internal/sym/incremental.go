@@ -79,14 +79,7 @@ type Session struct {
 // this vocabulary (callers build it from the union of all expressions they
 // will query — see core.checkDeterminism).
 func NewSession(v *Vocab) *Session {
-	return NewSessionConfig(v, sat.Config{})
-}
-
-// NewSessionConfig creates a session whose solver uses the given SAT
-// search configuration (zero value = default). Sessions over different
-// configs answer every query identically; only search order differs.
-func NewSessionConfig(v *Vocab, cfg sat.Config) *Session {
-	en := NewEncoderConfig(v, cfg)
+	en := NewEncoder(v)
 	return &Session{
 		en:        en,
 		input:     en.FreshInputState("in"),
@@ -94,9 +87,6 @@ func NewSessionConfig(v *Vocab, cfg sat.Config) *Session {
 		applyNode: make(map[*fs.HExpr]*State),
 	}
 }
-
-// ConfigName returns the name of the session solver's search config.
-func (s *Session) ConfigName() string { return s.en.S.ConfigName() }
 
 // Stats returns the session's counters.
 func (s *Session) Stats() SessionStats {
@@ -145,10 +135,6 @@ func (s *Session) applyCompute(e fs.Expr) *State {
 	}
 	return s.en.Apply(e, s.input)
 }
-
-// ApplyMisses returns the number of subtree walks the session has paid;
-// internal/core uses before/after deltas to model external-encoder cost.
-func (s *Session) ApplyMisses() int64 { return s.stats.ApplyMisses }
 
 // sessionLearntCap bounds the learnt clauses a session carries from query
 // to query. Retention pays off while the learnt database is hot and small;
