@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
+	"repro/internal/fs"
 	"repro/internal/leakcheck"
 )
 
@@ -71,4 +72,68 @@ func TestFleetLoadHonorsContext(t *testing.T) {
 func deadlineOf(ctx context.Context) time.Time {
 	d, _ := ctx.Deadline()
 	return d
+}
+
+// TestIdempotenceHonorsDeadlines: the idempotence solve on logstash-fixed
+// (more than a second of SAT search) stops within a second under a 50 ms
+// Timeout with ErrTimeout, and under a context ended after 50 ms with an
+// error wrapping ErrCanceled; the invariant check stops on a context that
+// has already ended. None of them leaves a goroutine behind.
+func TestIdempotenceHonorsDeadlines(t *testing.T) {
+	b, err := benchmarks.Get("logstash-fixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := time.Second
+	if raceEnabled {
+		// The race detector slows the uninterruptible encoding in front
+		// of the solve about threefold.
+		bound = 3 * time.Second
+	}
+	base := leakcheck.Take()
+	load := func(timeout time.Duration, ctx context.Context) *core.System {
+		opts := core.DefaultOptions()
+		opts.Timeout = timeout
+		opts.Context = ctx
+		sys, err := core.Load(b.Source, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	within := func(name string, want error, check func() error) {
+		t.Helper()
+		start := time.Now()
+		err := check()
+		took := time.Since(start)
+		t.Logf("%s: %v after %v", name, err, took)
+		if !errors.Is(err, want) {
+			t.Errorf("%s: err = %v, want one wrapping %v", name, err, want)
+		}
+		if took > bound {
+			t.Errorf("%s: returned after %v, want at most %v", name, took, bound)
+		}
+	}
+
+	sys := load(50*time.Millisecond, nil)
+	within("idempotence, 50ms timeout", core.ErrTimeout, func() error {
+		_, err := sys.CheckIdempotence()
+		return err
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	sys = load(0, ctx)
+	stopTimer := time.AfterFunc(50*time.Millisecond, cancel)
+	within("idempotence, canceled context", core.ErrCanceled, func() error {
+		_, err := sys.CheckIdempotence()
+		return err
+	})
+	stopTimer.Stop()
+	cancel()
+
+	within("invariant, canceled context", core.ErrCanceled, func() error {
+		_, err := sys.CheckFileInvariant(fs.ParsePath("/etc/logstash/conf.d/logstash.conf"), "x")
+		return err
+	})
+	leakcheck.Assert(t, base)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fs"
@@ -32,17 +35,63 @@ type IdempotenceResult struct {
 	Duration       time.Duration
 }
 
+// solveBounds returns the limits a check's solve runs under: the
+// deadline Options.Timeout sets from start, and a stop flag raised when
+// Options.Context ends. The caller must call release once the solve is
+// over.
+func (s *System) solveBounds(start time.Time) (deadline time.Time, stop *atomic.Bool, release func() bool) {
+	if s.opts.Timeout > 0 {
+		deadline = start.Add(s.opts.Timeout)
+	}
+	stop = new(atomic.Bool)
+	release = func() bool { return true }
+	if s.opts.Context != nil {
+		release = context.AfterFunc(s.opts.Context, func() { stop.Store(true) })
+	}
+	return deadline, stop, release
+}
+
+// canceled returns an error wrapping ErrCanceled once Options.Context has
+// ended, and nil otherwise.
+func (s *System) canceled() error {
+	if s.opts.Context == nil {
+		return nil
+	}
+	if cerr := s.opts.Context.Err(); cerr != nil {
+		return fmt.Errorf("%w: %v", ErrCanceled, cerr)
+	}
+	return nil
+}
+
+// abandoned classes a solve that gave up without a verdict: canceled
+// when Options.Context ended, timed out otherwise.
+func (s *System) abandoned() error {
+	if err := s.canceled(); err != nil {
+		return err
+	}
+	return ErrTimeout
+}
+
 // CheckIdempotence decides e ≡ e; e for the manifest's sequenced
 // expression (section 5). The caller should establish determinism first:
 // the check picks one valid order and is only meaningful when all orders
-// are equivalent.
+// are equivalent. It honours Options.Timeout (ErrTimeout) and
+// Options.Context (an error wrapping ErrCanceled).
 func (s *System) CheckIdempotence() (*IdempotenceResult, error) {
 	start := time.Now()
+	if err := s.canceled(); err != nil {
+		return nil, err
+	}
 	e, err := s.sequenceExpr()
 	if err != nil {
 		return nil, err
 	}
-	idem, cex, err := sym.Idempotent(e, sym.Options{})
+	deadline, stop, release := s.solveBounds(start)
+	idem, cex, err := sym.Idempotent(e, sym.Options{Deadline: deadline, Stop: stop})
+	release()
+	if errors.Is(err, sym.ErrBudget) {
+		return nil, s.abandoned()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -65,8 +114,12 @@ type InvariantResult struct {
 // CheckFileInvariant verifies the section-5 invariant "whenever the
 // manifest succeeds, path is a file with exactly the given content" —
 // useful to detect one resource silently overwriting another's file.
+// Like CheckIdempotence it honours Options.Timeout and Options.Context.
 func (s *System) CheckFileInvariant(path fs.Path, content string) (*InvariantResult, error) {
 	start := time.Now()
+	if err := s.canceled(); err != nil {
+		return nil, err
+	}
 	e, err := s.sequenceExpr()
 	if err != nil {
 		return nil, err
@@ -75,9 +128,10 @@ func (s *System) CheckFileInvariant(path fs.Path, content string) (*InvariantRes
 	dom.Add(path)
 	v := sym.NewVocabWithLiterals(dom, []string{content}, e)
 	en := sym.NewEncoder(v)
-	if s.opts.Timeout > 0 {
-		en.S.SetDeadline(time.Now().Add(s.opts.Timeout))
-	}
+	deadline, stop, release := s.solveBounds(start)
+	defer release()
+	en.S.SetDeadline(deadline)
+	en.S.SetStop(stop)
 	input := en.FreshInputState("in")
 	out := en.Apply(e, input)
 	want := sym.PathState{
@@ -94,7 +148,7 @@ func (s *System) CheckFileInvariant(path fs.Path, content string) (*InvariantRes
 	case sat.Unsat:
 		return &InvariantResult{Holds: true, Duration: time.Since(start)}, nil
 	case sat.Unknown:
-		return nil, ErrTimeout
+		return nil, s.abandoned()
 	}
 	in, err := en.ModelState(input)
 	if err != nil {

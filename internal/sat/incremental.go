@@ -190,7 +190,7 @@ const (
 func (s *Solver) subsumptionPass() (units, ok bool) {
 	// Occurrence lists and variable signatures over the problem clauses.
 	sigs := make([]uint64, len(s.clauses))
-	occ := make(map[Lit][]clauseRef)
+	occ := make([][]clauseRef, len(s.watches)) // indexed by literal
 	for i := range s.clauses {
 		if i%4096 == 0 && s.stopRequested() {
 			return false, true
@@ -208,7 +208,12 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 			occ[l] = append(occ[l], clauseRef(i))
 		}
 	}
-	inC := make(map[Lit]bool)
+	// inC marks the current candidate's literals. It is cleared after each
+	// candidate from a snapshot of the literals it was set from, because
+	// root-level propagation may permute the candidate's own slice while
+	// its literals are being visited.
+	inC := make([]bool, len(s.watches))
+	var cLits []Lit
 	for i := s.subsumeHead; i < len(s.clauses); i++ {
 		if s.stopRequested() {
 			// Every step so far preserved the models; the caller leaves the
@@ -220,10 +225,8 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 			continue
 		}
 		cref := clauseRef(i)
-		for k := range inC {
-			delete(inC, k)
-		}
-		for _, l := range c.lits {
+		cLits = append(cLits[:0], c.lits...)
+		for _, l := range cLits {
 			inC[l] = true
 		}
 		for _, l := range c.lits {
@@ -277,6 +280,9 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 					units = units || u
 				}
 			}
+		}
+		for _, l := range cLits {
+			inC[l] = false
 		}
 	}
 	return units, true
@@ -366,19 +372,21 @@ func (s *Solver) recycleReleased() {
 	if len(cleared) == 0 {
 		return
 	}
-	clearedSet := make(map[Var]bool, len(cleared))
+	// Mark the cleared variables in seen, which is all false outside
+	// conflict analysis, to filter them off the trail.
 	for _, v := range cleared {
-		clearedSet[v] = true
+		s.seen[v] = true
 	}
 	out := s.trail[:0]
 	for _, l := range s.trail {
-		if !clearedSet[l.Var()] {
+		if !s.seen[l.Var()] {
 			out = append(out, l)
 		}
 	}
 	s.trail = out
 	s.qhead = len(s.trail)
 	for _, v := range cleared {
+		s.seen[v] = false
 		s.assigns[v] = vUnknown
 		s.phase[v] = false
 		s.level[v] = 0

@@ -11,6 +11,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -140,6 +141,8 @@ type Solver struct {
 	varInc    float64
 	claInc    float64
 	seen      []bool
+	lbdStamp  []uint32 // per decision level: last computeLBD generation that saw it
+	lbdGen    uint32
 	unsat     bool // formula already proven unsat by unit propagation at level 0
 	conflicts int64
 	decisions int64
@@ -275,6 +278,11 @@ func (s *Solver) SetStop(f *atomic.Bool) { s.stop = f }
 // stopRequested reports whether the installed stop flag is set.
 func (s *Solver) stopRequested() bool { return s.stop != nil && s.stop.Load() }
 
+// pastDeadline reports whether the Deadline is set and has passed.
+func (s *Solver) pastDeadline() bool {
+	return !s.Deadline.IsZero() && time.Now().After(s.Deadline)
+}
+
 func (s *Solver) litValue(l Lit) value {
 	v := s.assigns[l.Var()]
 	if !l.IsPos() {
@@ -299,7 +307,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// satisfied clauses (at level 0).
 	ls := make([]Lit, 0, len(lits))
 	ls = append(ls, lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -467,15 +475,24 @@ const keepGlue = 2
 // assignments) collapse into one block, which only underestimates — safe,
 // since lower LBD means "keep longer".
 func (s *Solver) computeLBD(lits []Lit) int32 {
+	// Distinct levels are counted by stamping each level with this call's
+	// generation; no per-call allocation.
+	s.lbdGen++
+	if s.lbdGen == 0 { // wrapped: old stamps could collide
+		clear(s.lbdStamp)
+		s.lbdGen = 1
+	}
 	var n int32
-	seen := make(map[int32]struct{}, len(lits))
 	for _, l := range lits {
 		lv := s.level[l.Var()]
 		if lv == 0 {
 			continue
 		}
-		if _, ok := seen[lv]; !ok {
-			seen[lv] = struct{}{}
+		if int(lv) >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, make([]uint32, int(lv)+1-len(s.lbdStamp))...)
+		}
+		if s.lbdStamp[lv] != s.lbdGen {
+			s.lbdStamp[lv] = s.lbdGen
 			n++
 		}
 	}
@@ -619,7 +636,13 @@ func (s *Solver) record(learnt []Lit) {
 // ever drops learnt (implied) clauses, so any ranking preserves verdicts;
 // the random differential test pins that.
 func (s *Solver) reduceDB() {
-	locked := make(map[clauseRef]bool)
+	// A clause is locked while some assigned variable names it as its
+	// reason. The trail is scanned rather than each candidate's first
+	// literal checked: a root variable can keep the number of a reason
+	// clause that Simplify has since deleted, and a learnt clause that
+	// reuses the slot stays locked — that is part of the search the
+	// counter pins fix.
+	locked := make([]bool, len(s.clauses))
 	for _, l := range s.trail {
 		if r := s.reason[l.Var()]; r != nilClause {
 			locked[r] = true
@@ -714,6 +737,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
+	// A search already stopped or out of time gives up before
+	// preprocessing, which on a large formula costs as much as many
+	// conflicts.
+	if s.stopRequested() || s.pastDeadline() {
+		return Unknown
+	}
 	// Root-level preprocessing: whenever clauses were added since the last
 	// pass, simplify the database before entering the search loop.
 	if s.dirty && !s.Simplify() {
@@ -748,7 +777,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.cancelUntil(0)
 				return Unknown
 			}
-			if !s.Deadline.IsZero() && s.conflicts%64 == 0 && time.Now().After(s.Deadline) {
+			if s.conflicts%64 == 0 && s.pastDeadline() {
 				s.cancelUntil(0)
 				return Unknown
 			}
@@ -815,62 +844,73 @@ func (s *Solver) Stats() string {
 }
 
 // varHeap is a max-heap over variable activity used for VSIDS branching.
+// The queries Rehearsal asks make hundreds of decisions per conflict, so
+// every pop and bump sits on the hot path: positions live in a plain
+// array indexed by variable rather than a map.
 type varHeap struct {
 	activity *[]float64
 	heap     []Var
-	indices  map[Var]int
+	indices  []int32 // heap position of each variable; -1 when absent
 }
 
 func newVarHeap(act *[]float64) *varHeap {
-	return &varHeap{activity: act, indices: make(map[Var]int)}
+	return &varHeap{activity: act}
 }
 
-func (h *varHeap) less(i, j int) bool {
-	return (*h.activity)[h.heap[i]] > (*h.activity)[h.heap[j]]
-}
-
-func (h *varHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.indices[h.heap[i]] = i
-	h.indices[h.heap[j]] = j
-}
-
+// up sifts the variable at position i toward the root. Moving a hole
+// instead of swapping pairs performs the same comparisons, so the heap
+// ends up laid out exactly as a swap-based sift would leave it.
 func (h *varHeap) up(i int) {
+	act := *h.activity
+	v := h.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		pv := h.heap[parent]
+		if act[v] <= act[pv] {
 			break
 		}
-		h.swap(i, parent)
+		h.heap[i] = pv
+		h.indices[pv] = int32(i)
 		i = parent
 	}
+	h.heap[i] = v
+	h.indices[v] = int32(i)
 }
 
+// down sifts the variable at position i toward the leaves, preferring the
+// left child on ties like a swap-based sift.
 func (h *varHeap) down(i int) {
+	act := *h.activity
+	v := h.heap[i]
 	n := len(h.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(l, best) {
-			best = l
+		best, bestAct := -1, act[v]
+		if l < n && act[h.heap[l]] > bestAct {
+			best, bestAct = l, act[h.heap[l]]
 		}
-		if r < n && h.less(r, best) {
+		if r < n && act[h.heap[r]] > bestAct {
 			best = r
 		}
-		if best == i {
-			return
+		if best < 0 {
+			break
 		}
-		h.swap(i, best)
+		h.heap[i] = h.heap[best]
+		h.indices[h.heap[i]] = int32(i)
 		i = best
 	}
+	h.heap[i] = v
+	h.indices[v] = int32(i)
 }
 
 func (h *varHeap) push(v Var) {
-	if _, ok := h.indices[v]; ok {
+	for int(v) >= len(h.indices) {
+		h.indices = append(h.indices, -1)
+	}
+	if h.indices[v] >= 0 {
 		return
 	}
 	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap) - 1
 	h.up(len(h.heap) - 1)
 }
 
@@ -880,18 +920,20 @@ func (h *varHeap) pop() (Var, bool) {
 	}
 	v := h.heap[0]
 	last := len(h.heap) - 1
-	h.swap(0, last)
-	h.heap = h.heap[:last]
-	delete(h.indices, v)
+	h.indices[v] = -1
 	if last > 0 {
+		h.heap[0] = h.heap[last]
+		h.heap = h.heap[:last]
 		h.down(0)
+	} else {
+		h.heap = h.heap[:0]
 	}
 	return v, true
 }
 
 func (h *varHeap) update(v Var) {
-	if i, ok := h.indices[v]; ok {
-		h.up(i)
+	if int(v) < len(h.indices) && h.indices[v] >= 0 {
+		h.up(int(h.indices[v]))
 	}
 }
 

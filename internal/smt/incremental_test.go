@@ -200,7 +200,7 @@ func TestCompilationReuseAcrossScopes(t *testing.T) {
 		t.Fatal("sat expected")
 	}
 	s.Pop()
-	if _, ok := s.compiled[conj]; !ok {
+	if _, ok := s.compiledLit(conj); !ok {
 		t.Fatal("compilation of scoped term dropped by Pop")
 	}
 	nv := s.sat.NumVars()

@@ -12,7 +12,7 @@ package smt
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -94,8 +94,12 @@ type Solver struct {
 	sat   *sat.Solver
 	nodes []node
 	memo  map[string]T
+	key   []byte // reused buffer for hash-cons keys (see keyOf)
 
-	compiled map[T]sat.Lit
+	// compiled holds each term's Tseitin literal, indexed by T; the zero
+	// Lit (variable 0, which the SAT solver never hands out) marks a term
+	// not compiled yet.
+	compiled []sat.Lit
 	trueLit  sat.Lit
 
 	asserted []T
@@ -117,9 +121,8 @@ func NewSolver() *Solver { return NewSolverConfig(sat.Config{}) }
 // change a Check verdict.
 func NewSolverConfig(cfg sat.Config) *Solver {
 	s := &Solver{
-		sat:      sat.NewWithConfig(cfg),
-		memo:     make(map[string]T),
-		compiled: make(map[T]sat.Lit),
+		sat:  sat.NewWithConfig(cfg),
+		memo: make(map[string]T),
 	}
 	// Nodes 0 and 1 are the constants.
 	s.nodes = append(s.nodes,
@@ -129,8 +132,8 @@ func NewSolverConfig(cfg sat.Config) *Solver {
 	v := s.sat.NewVar()
 	s.trueLit = sat.PosLit(v)
 	s.sat.AddClause(s.trueLit)
-	s.compiled[TrueT] = s.trueLit
-	s.compiled[FalseT] = s.trueLit.Neg()
+	s.setCompiled(TrueT, s.trueLit)
+	s.setCompiled(FalseT, s.trueLit.Neg())
 	return s
 }
 
@@ -157,13 +160,28 @@ func (s *Solver) Stats() string { return s.sat.Stats() }
 // NumTerms returns the number of distinct terms created.
 func (s *Solver) NumTerms() int { return len(s.nodes) }
 
-func (s *Solver) intern(key string, n node) T {
-	if t, ok := s.memo[key]; ok {
+// keyOf renders a hash-cons key into the solver's reused buffer: the
+// prefix, then the ids in decimal, comma-separated. The bytes are valid
+// until the next call.
+func (s *Solver) keyOf(prefix string, ids ...T) []byte {
+	b := append(s.key[:0], prefix...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	s.key = b
+	return b
+}
+
+func (s *Solver) intern(key []byte, n node) T {
+	if t, ok := s.memo[string(key)]; ok {
 		return t
 	}
 	t := T(len(s.nodes))
 	s.nodes = append(s.nodes, n)
-	s.memo[key] = t
+	s.memo[string(key)] = t
 	return t
 }
 
@@ -194,7 +212,7 @@ func (s *Solver) Not(t T) T {
 	if n := s.nodes[t]; n.op == opNot {
 		return n.args[0]
 	}
-	return s.intern(fmt.Sprintf("!%d", t), node{op: opNot, args: []T{t}})
+	return s.intern(s.keyOf("!", t), node{op: opNot, args: []T{t}})
 }
 
 // And returns the conjunction of the terms, folding constants and
@@ -250,16 +268,11 @@ func (s *Solver) nary(o op, dominant, identity T, ts []T) T {
 		return args[0]
 	}
 	sortTs(args)
-	var b strings.Builder
+	prefix := "|,"
 	if o == opAnd {
-		b.WriteByte('&')
-	} else {
-		b.WriteByte('|')
+		prefix = "&,"
 	}
-	for _, a := range args {
-		fmt.Fprintf(&b, ",%d", a)
-	}
-	return s.intern(b.String(), node{op: o, args: args})
+	return s.intern(s.keyOf(prefix, args...), node{op: o, args: args})
 }
 
 // rawNot returns the existing negation term of t if one exists (or computes
@@ -274,7 +287,7 @@ func (s *Solver) rawNot(t T) T {
 	if n := s.nodes[t]; n.op == opNot {
 		return n.args[0]
 	}
-	if existing, ok := s.memo[fmt.Sprintf("!%d", t)]; ok {
+	if existing, ok := s.memo[string(s.keyOf("!", t))]; ok {
 		return existing
 	}
 	return -1
@@ -326,7 +339,7 @@ func (s *Solver) Ite(c, a, b T) T {
 	case b == FalseT:
 		return s.And(c, a)
 	}
-	return s.intern(fmt.Sprintf("?%d,%d,%d", c, a, b), node{op: opIte, args: []T{c, a, b}})
+	return s.intern(s.keyOf("?", c, a, b), node{op: opIte, args: []T{c, a, b}})
 }
 
 // Assert adds t as a constraint for subsequent Check calls. Inside a Push
@@ -381,7 +394,7 @@ func (s *Solver) eval(t T, memo map[T]bool) bool {
 	case opConst:
 		v = t == TrueT
 	case opVar:
-		if l, ok := s.compiled[t]; ok {
+		if l, ok := s.compiledLit(t); ok {
 			v = s.sat.Value(l.Var()) == l.IsPos()
 		} else {
 			v = false // variable never used in a constraint: any value works
@@ -415,9 +428,24 @@ func (s *Solver) eval(t T, memo map[T]bool) bool {
 	return v
 }
 
+// compiledLit returns t's Tseitin literal if t has been compiled.
+func (s *Solver) compiledLit(t T) (sat.Lit, bool) {
+	if int(t) < len(s.compiled) && s.compiled[t] != 0 {
+		return s.compiled[t], true
+	}
+	return 0, false
+}
+
+func (s *Solver) setCompiled(t T, l sat.Lit) {
+	if int(t) >= len(s.compiled) {
+		s.compiled = append(s.compiled, make([]sat.Lit, len(s.nodes)-len(s.compiled))...)
+	}
+	s.compiled[t] = l
+}
+
 // compile Tseitin-encodes t and returns its representative literal.
 func (s *Solver) compile(t T) sat.Lit {
-	if l, ok := s.compiled[t]; ok {
+	if l, ok := s.compiledLit(t); ok {
 		return l
 	}
 	n := s.nodes[t]
@@ -471,7 +499,7 @@ func (s *Solver) compile(t T) sat.Lit {
 	default:
 		panic("smt: compiling constant should have been cached")
 	}
-	s.compiled[t] = l
+	s.setCompiled(t, l)
 	return l
 }
 

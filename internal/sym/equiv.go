@@ -4,14 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fs"
 	"repro/internal/sat"
 	"repro/internal/smt"
 )
 
-// ErrBudget reports that the solver exhausted its conflict budget before
-// deciding the query; callers treat it as a timeout.
+// ErrBudget reports that the solver gave up before deciding the query: it
+// exhausted its conflict budget, passed its deadline or was stopped.
+// Callers treat it as a timeout.
 var ErrBudget = errors.New("sym: solver budget exhausted")
 
 // Counterexample witnesses the inequivalence of two expressions: a concrete
@@ -39,6 +41,12 @@ type Options struct {
 	// Budget bounds SAT conflicts; 0 means unlimited. Exhaustion returns
 	// ErrBudget.
 	Budget int64
+	// Deadline, when non-zero, abandons the query with ErrBudget once it
+	// passes. Stop, when non-nil, abandons it with ErrBudget soon after
+	// the flag is set; that is how a canceled check stops a running
+	// search.
+	Deadline time.Time
+	Stop     *atomic.Bool
 	// Config selects the SAT search configuration (zero = default). It
 	// steers search order only and can never change a verdict.
 	Config sat.Config
@@ -93,6 +101,8 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 	if opts.Budget > 0 {
 		en.S.SetBudget(opts.Budget)
 	}
+	en.S.SetDeadline(opts.Deadline)
+	en.S.SetStop(opts.Stop)
 	input := en.FreshInputState("in")
 	out1 := en.Apply(e1, input)
 	out2 := en.Apply(e2, input)
@@ -103,8 +113,8 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 	case sat.Unknown:
 		return false, nil, ErrBudget
 	}
-	cex := canonicalCounterexample(en, input, e1, e2)
-	return false, cex, nil
+	cex, err := canonicalCounterexample(en, input, e1, e2)
+	return false, cex, err
 }
 
 // canonicalCounterexample derives the canonical counterexample input: the
@@ -124,8 +134,10 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 // determine the witness completely.
 //
 // The replayed fs.Eval comparison at the end is a soundness self-check:
-// the canonical input must actually distinguish the expressions.
-func canonicalCounterexample(en *Encoder, input *State, e1, e2 fs.Expr) *Counterexample {
+// the canonical input must actually distinguish the expressions. A probe
+// cut short by the query's deadline or stop flag returns ErrBudget rather
+// than a witness that may not be the minimal one.
+func canonicalCounterexample(en *Encoder, input *State, e1, e2 fs.Expr) (*Counterexample, error) {
 	s := en.S
 	s.SetBudget(0) // minimization probes must not hit a query budget
 	w, err := en.ModelState(input)
@@ -139,8 +151,11 @@ func canonicalCounterexample(en *Encoder, input *State, e1, e2 fs.Expr) *Counter
 		cur := modelKind(w, p)
 		for k := 0; k < cur; k++ {
 			probe := append(pins[:len(pins):len(pins)], s.EnumIs(ps.Kind, k))
-			if s.Check(probe...) != sat.Sat {
+			switch s.Check(probe...) {
+			case sat.Unsat:
 				continue
+			case sat.Unknown:
+				return nil, ErrBudget
 			}
 			w2, err := en.ModelState(input)
 			if err != nil {
@@ -158,7 +173,7 @@ func canonicalCounterexample(en *Encoder, input *State, e1, e2 fs.Expr) *Counter
 			"sym: model does not distinguish expressions (encoding bug)\ninput: %s\ne1: %s\ne2: %s",
 			fs.StateString(w), fs.String(e1), fs.String(e2)))
 	}
-	return &Counterexample{Input: w, Ok1: ok1, Ok2: ok2, Out1: out1, Out2: out2}
+	return &Counterexample{Input: w, Ok1: ok1, Ok2: ok2, Out1: out1, Out2: out2}, nil
 }
 
 // modelKind returns the kind code of p in the concrete state.

@@ -165,6 +165,8 @@ func (s *Session) Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, er
 	out1 := s.applyMemo(e1)
 	out2 := s.applyMemo(e2)
 	s.en.S.SetBudget(opts.Budget)
+	s.en.S.SetDeadline(opts.Deadline)
+	s.en.S.SetStop(opts.Stop)
 	s.en.S.Push()
 	defer s.en.S.Pop()
 	s.en.S.Assert(s.en.StatesDiffer(out1, out2))
@@ -175,8 +177,8 @@ func (s *Session) Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, er
 		return false, nil, ErrBudget
 	}
 	// Extract before the deferred Pop invalidates the model.
-	cex := canonicalCounterexample(s.en, s.input, e1, e2)
-	return false, cex, nil
+	cex, err := canonicalCounterexample(s.en, s.input, e1, e2)
+	return false, cex, err
 }
 
 // Commutes decides e1; e2 ≡ e2; e1 within the session.
