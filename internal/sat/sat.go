@@ -151,13 +151,9 @@ type Solver struct {
 	nLearnt   int
 	maxLearnt int
 
-	// cfg holds the normalized search-heuristic knobs (see config.go);
-	// rngState is the config-seeded xorshift64 state behind RandomFreq
-	// and PhaseRandom. stop, when set, lets another goroutine abandon a
-	// running Solve — how a canceled determinacy check stops its search.
-	cfg      Config
-	rngState uint64
-	stop     *atomic.Bool
+	// stop, when set, lets another goroutine abandon a running Solve —
+	// how a canceled determinacy check stops its search.
+	stop *atomic.Bool
 
 	// Incremental-solving state (see incremental.go).
 	released    []Var // vars retired by ReleaseVar, scrubbed at the next Simplify
@@ -175,20 +171,19 @@ type Solver struct {
 	Deadline time.Time
 }
 
-// New creates an empty solver with the default configuration.
-func New() *Solver { return NewWithConfig(Config{}) }
+// Search heuristics. They steer which model or proof the search finds
+// first, never the verdict; the counter pins in pin_test.go fix them.
+const (
+	varDecay           = 0.95  // VSIDS variable-activity decay
+	clauseDecay        = 0.999 // learnt-clause activity decay
+	restartBase        = 64    // conflicts per Luby unit
+	maxLearntBase      = 4000  // learnt budget before the first reduceDB, plus 2 per problem clause
+	maxLearntGrowthPct = 10    // learnt budget growth per reduceDB
+)
 
-// NewWithConfig creates an empty solver with the given search
-// configuration. The zero Config reproduces New's historical behavior
-// exactly; no Config field can change a SAT/UNSAT verdict.
-func NewWithConfig(cfg Config) *Solver {
-	cfg = cfg.withDefaults()
-	s := &Solver{
-		varInc:   1,
-		claInc:   1,
-		cfg:      cfg,
-		rngState: cfg.Seed,
-	}
+// New creates an empty solver.
+func New() *Solver {
+	s := &Solver{varInc: 1, claInc: 1}
 	s.order = newVarHeap(&s.activity)
 	// Var 0 is unused so literals index cleanly.
 	s.assigns = append(s.assigns, vUnknown)
@@ -229,7 +224,7 @@ func (s *Solver) NewVar() Var {
 	}
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, vUnknown)
-	s.phase = append(s.phase, s.initPhase())
+	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nilClause)
 	s.activity = append(s.activity, 0)
@@ -237,35 +232,6 @@ func (s *Solver) NewVar() Var {
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
 	return v
-}
-
-// initPhase returns the starting branching phase for a fresh variable
-// under the configured policy.
-func (s *Solver) initPhase() bool {
-	switch s.cfg.Phase {
-	case PhaseTrue:
-		return true
-	case PhaseRandom:
-		return s.rnd()&1 == 0
-	default:
-		return false
-	}
-}
-
-// rnd advances the config-seeded xorshift64 state. Deterministic for a
-// given Config: no global randomness, no time.
-func (s *Solver) rnd() uint64 {
-	x := s.rngState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rngState = x
-	return x
-}
-
-// randFloat returns a deterministic float in [0, 1).
-func (s *Solver) randFloat() float64 {
-	return float64(s.rnd()>>11) / (1 << 53)
 }
 
 // SetStop installs (or with nil clears) a cancellation flag checked on
@@ -695,16 +661,6 @@ func (s *Solver) detach(cref clauseRef) {
 }
 
 func (s *Solver) pickBranchLit() (Lit, bool) {
-	// Random decisions (RandomFreq > 0): peek a uniformly random heap
-	// slot without popping; if it is unassigned, branch on it. The
-	// variable stays in the heap — a later VSIDS pop skips it once
-	// assigned — so no ordering invariant is disturbed.
-	if s.cfg.RandomFreq > 0 && len(s.order.heap) > 0 && s.randFloat() < s.cfg.RandomFreq {
-		v := s.order.heap[int(s.rnd()%uint64(len(s.order.heap)))]
-		if s.assigns[v] == vUnknown {
-			return MkLit(v, s.phase[v]), true
-		}
-	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
@@ -750,11 +706,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 	restartIdx := int64(1)
 	conflictsAtStart := s.conflicts
-	geomInterval := float64(s.cfg.RestartBase)
-	restartBudget := luby(restartIdx) * s.cfg.RestartBase
-	if s.cfg.Restart == RestartGeometric {
-		restartBudget = int64(geomInterval)
-	}
+	restartBudget := luby(restartIdx) * restartBase
 
 	for {
 		if s.stopRequested() {
@@ -771,8 +723,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			learnt, backjump := s.analyze(conflict)
 			s.cancelUntil(backjump)
 			s.record(learnt)
-			s.varInc /= s.cfg.VarDecay
-			s.claInc /= s.cfg.ClauseDecay
+			s.varInc /= varDecay
+			s.claInc /= clauseDecay
 			if s.Budget > 0 && s.conflicts-conflictsAtStart >= s.Budget {
 				s.cancelUntil(0)
 				return Unknown
@@ -784,20 +736,15 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			if s.conflicts-conflictsAtStart >= restartBudget {
 				restartIdx++
 				s.restarts++
-				if s.cfg.Restart == RestartGeometric {
-					geomInterval *= s.cfg.RestartGrowth
-					restartBudget = s.conflicts - conflictsAtStart + int64(geomInterval)
-				} else {
-					restartBudget = s.conflicts - conflictsAtStart + luby(restartIdx)*s.cfg.RestartBase
-				}
+				restartBudget = s.conflicts - conflictsAtStart + luby(restartIdx)*restartBase
 				s.cancelUntil(0)
 				if s.maxLearnt == 0 {
-					s.maxLearnt = s.cfg.MaxLearntBase + 2*s.NumClauses()
+					s.maxLearnt = maxLearntBase + 2*s.NumClauses()
 				}
 				if s.nLearnt > s.maxLearnt {
 					s.reduceDB()
 					// Geometric growth of the learnt-clause budget.
-					s.maxLearnt += s.maxLearnt * s.cfg.MaxLearntGrowthPct / 100
+					s.maxLearnt += s.maxLearnt * maxLearntGrowthPct / 100
 				}
 			}
 			continue
@@ -835,6 +782,44 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 // variables (possible only if v was created after Solve) report false.
 func (s *Solver) Value(v Var) bool {
 	return s.assigns[v] == vTrue
+}
+
+// Counters is a snapshot of the solver's cumulative search counters.
+type Counters struct {
+	Decisions    int64
+	Propagations int64
+	Conflicts    int64
+	Restarts     int64
+}
+
+// Sub returns c - o, for before/after deltas around a query.
+func (c Counters) Sub(o Counters) Counters {
+	return Counters{
+		Decisions:    c.Decisions - o.Decisions,
+		Propagations: c.Propagations - o.Propagations,
+		Conflicts:    c.Conflicts - o.Conflicts,
+		Restarts:     c.Restarts - o.Restarts,
+	}
+}
+
+// Add returns c + o.
+func (c Counters) Add(o Counters) Counters {
+	return Counters{
+		Decisions:    c.Decisions + o.Decisions,
+		Propagations: c.Propagations + o.Propagations,
+		Conflicts:    c.Conflicts + o.Conflicts,
+		Restarts:     c.Restarts + o.Restarts,
+	}
+}
+
+// Counters returns the solver's cumulative search counters.
+func (s *Solver) Counters() Counters {
+	return Counters{
+		Decisions:    s.decisions,
+		Propagations: s.props,
+		Conflicts:    s.conflicts,
+		Restarts:     s.restarts,
+	}
 }
 
 // Stats returns a human-readable summary of solver counters.

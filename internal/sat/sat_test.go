@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -525,5 +526,55 @@ func BenchmarkPigeonhole7(b *testing.B) {
 		if s.Solve() != Unsat {
 			b.Fatal("php should be unsat")
 		}
+	}
+}
+
+// loadPHP loads the pigeonhole principle PHP(holes+1, holes) into s.
+func loadPHP(s *Solver, holes int) {
+	pigeons := holes + 1
+	at := make([][]Var, pigeons)
+	for p := 0; p < pigeons; p++ {
+		at[p] = make([]Var, holes)
+		for h := 0; h < holes; h++ {
+			at[p][h] = s.NewVar()
+		}
+	}
+	for p := 0; p < pigeons; p++ {
+		lits := make([]Lit, holes)
+		for h := 0; h < holes; h++ {
+			lits[h] = PosLit(at[p][h])
+		}
+		s.AddClause(lits...)
+	}
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 < pigeons; p1++ {
+			for p2 := p1 + 1; p2 < pigeons; p2++ {
+				s.AddClause(NegLit(at[p1][h]), NegLit(at[p2][h]))
+			}
+		}
+	}
+}
+
+// A pre-set stop flag must abort the search as Unknown without consuming
+// the instance; clearing it must let the same solver finish.
+func TestStopFlag(t *testing.T) {
+	s := New()
+	loadPHP(s, 7)
+	var stop atomic.Bool
+	stop.Store(true)
+	s.SetStop(&stop)
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("Solve with stop set = %v, want unknown", got)
+	}
+	if !s.dirty {
+		t.Error("preprocessing interrupted by the stop flag left the database marked clean")
+	}
+	stop.Store(false)
+	if got := s.Solve(); got != Unsat {
+		t.Fatalf("Solve after clearing stop = %v, want unsat", got)
+	}
+	s.SetStop(nil)
+	if got := s.Solve(); got != Unsat {
+		t.Fatalf("Solve with stop detached = %v, want unsat", got)
 	}
 }

@@ -12,6 +12,7 @@ package smt
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -95,6 +96,8 @@ type Solver struct {
 	nodes []node
 	memo  map[string]T
 	key   []byte // reused buffer for hash-cons keys (see keyOf)
+	// scratch is nary's reused argument buffer; nodes never keep it.
+	scratch []T
 
 	// compiled holds each term's Tseitin literal, indexed by T; the zero
 	// Lit (variable 0, which the SAT solver never hands out) marks a term
@@ -113,15 +116,9 @@ type Solver struct {
 }
 
 // NewSolver creates an empty solver containing only the constant terms.
-func NewSolver() *Solver { return NewSolverConfig(sat.Config{}) }
-
-// NewSolverConfig creates an empty solver whose SAT backend uses the
-// given search configuration (see sat.Config; the zero value is the
-// default). The configuration steers search order only — it can never
-// change a Check verdict.
-func NewSolverConfig(cfg sat.Config) *Solver {
+func NewSolver() *Solver {
 	s := &Solver{
-		sat:  sat.NewWithConfig(cfg),
+		sat:  sat.New(),
 		memo: make(map[string]T),
 	}
 	// Nodes 0 and 1 are the constants.
@@ -175,12 +172,14 @@ func (s *Solver) keyOf(prefix string, ids ...T) []byte {
 	return b
 }
 
-func (s *Solver) intern(key []byte, n node) T {
+// intern returns the term under key, creating it with a copy of args when
+// the key is new; a hit allocates nothing.
+func (s *Solver) intern(key []byte, o op, args ...T) T {
 	if t, ok := s.memo[string(key)]; ok {
 		return t
 	}
 	t := T(len(s.nodes))
-	s.nodes = append(s.nodes, n)
+	s.nodes = append(s.nodes, node{op: o, args: slices.Clone(args)})
 	s.memo[string(key)] = t
 	return t
 }
@@ -212,7 +211,7 @@ func (s *Solver) Not(t T) T {
 	if n := s.nodes[t]; n.op == opNot {
 		return n.args[0]
 	}
-	return s.intern(s.keyOf("!", t), node{op: opNot, args: []T{t}})
+	return s.intern(s.keyOf("!", t), opNot, t)
 }
 
 // And returns the conjunction of the terms, folding constants and
@@ -227,15 +226,16 @@ func (s *Solver) Or(ts ...T) T {
 }
 
 // nary builds an n-ary gate; dominant annihilates (false for and, true for
-// or), identity is dropped.
+// or), identity is dropped. The arguments are flattened, sorted and
+// deduplicated in the solver's scratch slice, so a gate that is already
+// hash-consed costs no allocation (see intern).
 func (s *Solver) nary(o op, dominant, identity T, ts []T) T {
-	args := make([]T, 0, len(ts))
-	seen := make(map[T]bool, len(ts))
+	args := s.scratch[:0]
 	for _, t := range ts {
 		if t == dominant {
 			return dominant
 		}
-		if t == identity || seen[t] {
+		if t == identity {
 			continue
 		}
 		// Flatten nested gates of the same kind.
@@ -244,21 +244,23 @@ func (s *Solver) nary(o op, dominant, identity T, ts []T) T {
 				if a == dominant {
 					return dominant
 				}
-				if a == identity || seen[a] {
-					continue
+				if a != identity {
+					args = append(args, a)
 				}
-				seen[a] = true
-				args = append(args, a)
 			}
 			continue
 		}
-		seen[t] = true
 		args = append(args, t)
 	}
+	slices.Sort(args)
+	args = slices.Compact(args)
+	s.scratch = args
 	// x ∧ ¬x = false; x ∨ ¬x = true.
 	for _, a := range args {
-		if seen[s.rawNot(a)] {
-			return dominant
+		if n := s.rawNot(a); n >= 0 {
+			if _, found := slices.BinarySearch(args, n); found {
+				return dominant
+			}
 		}
 	}
 	switch len(args) {
@@ -267,12 +269,11 @@ func (s *Solver) nary(o op, dominant, identity T, ts []T) T {
 	case 1:
 		return args[0]
 	}
-	sortTs(args)
 	prefix := "|,"
 	if o == opAnd {
 		prefix = "&,"
 	}
-	return s.intern(s.keyOf(prefix, args...), node{op: o, args: args})
+	return s.intern(s.keyOf(prefix, args...), o, args...)
 }
 
 // rawNot returns the existing negation term of t if one exists (or computes
@@ -339,7 +340,7 @@ func (s *Solver) Ite(c, a, b T) T {
 	case b == FalseT:
 		return s.And(c, a)
 	}
-	return s.intern(s.keyOf("?", c, a, b), node{op: opIte, args: []T{c, a, b}})
+	return s.intern(s.keyOf("?", c, a, b), opIte, c, a, b)
 }
 
 // Assert adds t as a constraint for subsequent Check calls. Inside a Push
@@ -595,12 +596,4 @@ func (s *Solver) EnumValue(e Enum) (int, error) {
 		v = 0
 	}
 	return v, nil
-}
-
-func sortTs(ts []T) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fs"
-	"repro/internal/sat"
 	"repro/internal/smt"
 )
 
@@ -84,12 +83,6 @@ type Encoder struct {
 // NewEncoder creates an encoder for the vocabulary using a fresh solver.
 func NewEncoder(v *Vocab) *Encoder {
 	return &Encoder{S: smt.NewSolver(), V: v}
-}
-
-// NewEncoderConfig creates an encoder whose fresh solver uses the given
-// SAT search configuration (zero value = default).
-func NewEncoderConfig(v *Vocab, cfg sat.Config) *Encoder {
-	return &Encoder{S: smt.NewSolverConfig(cfg), V: v}
 }
 
 // FreshInputState creates the symbolic initial state: one kind variable per

@@ -47,9 +47,6 @@ type Options struct {
 	// search.
 	Deadline time.Time
 	Stop     *atomic.Bool
-	// Config selects the SAT search configuration (zero = default). It
-	// steers search order only and can never change a verdict.
-	Config sat.Config
 	// Metrics, when non-nil, accumulates the search counters the query
 	// spends. Safe for concurrent use across queries.
 	Metrics *Metrics
@@ -94,7 +91,7 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 	dom := fs.Dom(e1)
 	dom.AddAll(fs.Dom(e2))
 	v := NewVocab(dom, e1, e2)
-	en := NewEncoderConfig(v, opts.Config)
+	en := NewEncoder(v)
 	if opts.Metrics != nil {
 		defer func() { opts.Metrics.add(en.S.Counters()) }()
 	}
@@ -121,9 +118,9 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 // lexicographically minimal model over the vocabulary's sorted paths with
 // kinds ordered none < dir < file. Minimality is a property of the
 // asserted formula alone — not of the model the search happened to find,
-// the solver configuration, the restart schedule or the worker count — so
-// every solver config, fresh or pooled, extracts the byte-identical
-// witness. That is what keeps report fingerprints stable.
+// the learnt clauses a pooled session carries or the worker count — so a
+// fresh solver and a pooled session extract the byte-identical witness.
+// That is what keeps report fingerprints stable.
 //
 // The walk pins one path at a time: for each path in order it finds the
 // smallest kind consistent with the formula and the pins so far. The

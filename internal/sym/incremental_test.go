@@ -27,9 +27,11 @@ func TestVocabDigest(t *testing.T) {
 // TestSessionEquivMatchesFresh is the verdict-equivalence gate for the
 // session layer: for random expression pairs, a shared session over the
 // union vocabulary must return exactly the verdicts of the fresh-solver
-// Equiv path (which uses the minimal per-query vocabulary), including the
-// presence of counterexamples. Counterexamples from both paths are already
-// replay-validated inside extractCounterexample.
+// Equiv path (which uses the minimal per-query vocabulary), and the same
+// canonical counterexample byte for byte: the witness is lex-minimal over
+// the asserted formula, so it must not depend on the search trajectory a
+// warm session takes. Counterexamples from both paths are already
+// replay-validated inside canonicalCounterexample.
 func TestSessionEquivMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	cfg := fs.DefaultGenConfig()
@@ -53,9 +55,9 @@ func TestSessionEquivMatchesFresh(t *testing.T) {
 				t.Fatalf("pair (%d,%d): session=(%v,%v) fresh=(%v,%v)\ne1=%s\ne2=%s",
 					i, j, gotEq, gotErr, wantEq, wantErr, fs.String(e1), fs.String(e2))
 			}
-			if (gotCex == nil) != (wantCex == nil) {
-				t.Fatalf("pair (%d,%d): counterexample presence differs: session=%v fresh=%v",
-					i, j, gotCex != nil, wantCex != nil)
+			if got, want := witnessString(gotCex), witnessString(wantCex); got != want {
+				t.Fatalf("pair (%d,%d): counterexample differs\nsession:\n%s\nfresh:\n%s\ne1=%s\ne2=%s",
+					i, j, got, want, fs.String(e1), fs.String(e2))
 			}
 			queries++
 		}
@@ -72,8 +74,17 @@ func TestSessionEquivMatchesFresh(t *testing.T) {
 	}
 }
 
+// witnessString renders a counterexample for byte-identity comparison
+// ("" when there is none).
+func witnessString(cex *Counterexample) string {
+	if cex == nil {
+		return ""
+	}
+	return cex.String()
+}
+
 // TestSessionIdempotentMatchesFresh covers the second query shape the
-// checker issues.
+// checker issues, with the same verdict and canonical-witness contract.
 func TestSessionIdempotentMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	cfg := fs.DefaultGenConfig()
@@ -85,11 +96,15 @@ func TestSessionIdempotentMatchesFresh(t *testing.T) {
 	}
 	sess := NewSession(NewVocab(dom, pool...))
 	for i, e := range pool {
-		gotEq, _, gotErr := sess.Idempotent(e, Options{})
-		wantEq, _, wantErr := Idempotent(e, Options{})
+		gotEq, gotCex, gotErr := sess.Idempotent(e, Options{})
+		wantEq, wantCex, wantErr := Idempotent(e, Options{})
 		if gotEq != wantEq || (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("expr %d: session=(%v,%v) fresh=(%v,%v)\ne=%s",
 				i, gotEq, gotErr, wantEq, wantErr, fs.String(e))
+		}
+		if got, want := witnessString(gotCex), witnessString(wantCex); got != want {
+			t.Fatalf("expr %d: counterexample differs\nsession:\n%s\nfresh:\n%s\ne=%s",
+				i, got, want, fs.String(e))
 		}
 	}
 }
