@@ -74,28 +74,29 @@ func deadlineOf(ctx context.Context) time.Time {
 	return d
 }
 
-// TestIdempotenceHonorsDeadlines: the idempotence solve on logstash-fixed
-// (more than a second of SAT search) stops within a second under a 50 ms
-// Timeout with ErrTimeout, and under a context ended after 50 ms with an
-// error wrapping ErrCanceled; the invariant check stops on a context that
-// has already ended. None of them leaves a goroutine behind.
+// TestIdempotenceHonorsDeadlines: the idempotence check of a
+// 1,200-resource fleet (seconds of encoding and SAT search) stops within a
+// second under a 50 ms Timeout with ErrTimeout, and under a context ended
+// after 50 ms with an error wrapping ErrCanceled; the invariant check on
+// logstash-fixed stops on a context that has already ended. None of them
+// leaves a goroutine behind.
 func TestIdempotenceHonorsDeadlines(t *testing.T) {
+	fleet := benchmarks.Fleet(1200, benchmarks.FleetNone, 1)
 	b, err := benchmarks.Get("logstash-fixed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bound := time.Second
 	if raceEnabled {
-		// The race detector slows the uninterruptible encoding in front
-		// of the solve about threefold.
+		// The race detector slows the polls' spacing about threefold.
 		bound = 3 * time.Second
 	}
 	base := leakcheck.Take()
-	load := func(timeout time.Duration, ctx context.Context) *core.System {
+	load := func(src string, timeout time.Duration, ctx context.Context) *core.System {
 		opts := core.DefaultOptions()
 		opts.Timeout = timeout
 		opts.Context = ctx
-		sys, err := core.Load(b.Source, opts)
+		sys, err := core.Load(src, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,14 +116,15 @@ func TestIdempotenceHonorsDeadlines(t *testing.T) {
 		}
 	}
 
-	sys := load(50*time.Millisecond, nil)
+	sys := load(fleet, 50*time.Millisecond, nil)
 	within("idempotence, 50ms timeout", core.ErrTimeout, func() error {
 		_, err := sys.CheckIdempotence()
 		return err
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	sys = load(0, ctx)
+	sys = load(fleet, 0, ctx)
+	inv := load(b.Source, 0, ctx)
 	stopTimer := time.AfterFunc(50*time.Millisecond, cancel)
 	within("idempotence, canceled context", core.ErrCanceled, func() error {
 		_, err := sys.CheckIdempotence()
@@ -132,7 +134,7 @@ func TestIdempotenceHonorsDeadlines(t *testing.T) {
 	cancel()
 
 	within("invariant, canceled context", core.ErrCanceled, func() error {
-		_, err := sys.CheckFileInvariant(fs.ParsePath("/etc/logstash/conf.d/logstash.conf"), "x")
+		_, err := inv.CheckFileInvariant(fs.ParsePath("/etc/logstash/conf.d/logstash.conf"), "x")
 		return err
 	})
 	leakcheck.Assert(t, base)

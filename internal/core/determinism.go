@@ -800,6 +800,8 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 	// linearization is equivalent to an explored one.
 	var rec func(st *sym.State, sleep map[graph.Node]bool) error
 	rec = func(st *sym.State, sleep map[graph.Node]bool) error {
+		// These checks also catch an Apply that the encoder's copy of the
+		// same limits cut short, so no such state reaches outs.
 		if err := cc.err(); err != nil {
 			return err
 		}

@@ -92,12 +92,15 @@ func (s *Solver) Simplify() bool {
 		s.unsat = true
 		return false
 	}
-	if s.stopRequested() {
+	if s.interrupted() {
 		return true // interrupted: stay dirty, Solve reports Unknown
 	}
 	if units && !s.removeSatisfiedLoop() {
 		s.unsat = true
 		return false
+	}
+	if s.interrupted() {
+		return true
 	}
 	s.recycleReleased()
 	s.dirty = false
@@ -108,6 +111,9 @@ func (s *Solver) Simplify() bool {
 // removeSatisfiedLoop sweeps the clause database until a fixpoint:
 // satisfied clauses are removed, root-false literals are dropped, and
 // clauses that become unit are propagated. Returns false on conflict.
+// The sweeps poll the stop flag and the deadline every sweepPoll
+// clauses; an interrupted sweep leaves every clause it has not reached as
+// it was, so the database keeps its models and stays dirty.
 func (s *Solver) removeSatisfiedLoop() bool {
 	for {
 		again, ok := s.removeSatisfiedSweep()
@@ -122,6 +128,9 @@ func (s *Solver) removeSatisfiedLoop() bool {
 
 func (s *Solver) removeSatisfiedSweep() (again, ok bool) {
 	for i := range s.clauses {
+		if i%sweepPoll == 0 && s.interrupted() {
+			return false, true
+		}
 		c := &s.clauses[i]
 		if c.lits == nil {
 			continue
@@ -172,6 +181,10 @@ func (s *Solver) removeSatisfiedSweep() (again, ok bool) {
 	return again, true
 }
 
+// sweepPoll is how many clauses a preprocessing sweep visits between two
+// polls of the stop flag and the deadline.
+const sweepPoll = 4096
+
 // Bounds keeping the subsumption pass near-linear: clauses longer than
 // subsumeMaxLen are never used as subsuming candidates, and occurrence
 // lists longer than subsumeMaxOcc are not scanned.
@@ -192,7 +205,7 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 	sigs := make([]uint64, len(s.clauses))
 	occ := make([][]clauseRef, len(s.watches)) // indexed by literal
 	for i := range s.clauses {
-		if i%4096 == 0 && s.stopRequested() {
+		if i%sweepPoll == 0 && s.interrupted() {
 			return false, true
 		}
 		c := &s.clauses[i]
@@ -215,7 +228,7 @@ func (s *Solver) subsumptionPass() (units, ok bool) {
 	inC := make([]bool, len(s.watches))
 	var cLits []Lit
 	for i := s.subsumeHead; i < len(s.clauses); i++ {
-		if s.stopRequested() {
+		if s.stopRequested() || i%64 == 0 && s.pastDeadline() {
 			// Every step so far preserved the models; the caller leaves the
 			// database dirty so the next Solve finishes the pass.
 			return units, true

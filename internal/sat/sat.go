@@ -244,6 +244,10 @@ func (s *Solver) SetStop(f *atomic.Bool) { s.stop = f }
 // stopRequested reports whether the installed stop flag is set.
 func (s *Solver) stopRequested() bool { return s.stop != nil && s.stop.Load() }
 
+// interrupted reports whether the stop flag is set or the Deadline has
+// passed.
+func (s *Solver) interrupted() bool { return s.stopRequested() || s.pastDeadline() }
+
 // pastDeadline reports whether the Deadline is set and has passed.
 func (s *Solver) pastDeadline() bool {
 	return !s.Deadline.IsZero() && time.Now().After(s.Deadline)
@@ -696,13 +700,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// A search already stopped or out of time gives up before
 	// preprocessing, which on a large formula costs as much as many
 	// conflicts.
-	if s.stopRequested() || s.pastDeadline() {
+	if s.interrupted() {
 		return Unknown
 	}
 	// Root-level preprocessing: whenever clauses were added since the last
-	// pass, simplify the database before entering the search loop.
+	// pass, simplify the database before entering the search loop. A pass
+	// that the stop flag or the deadline cut short leaves it dirty.
 	if s.dirty && !s.Simplify() {
 		return Unsat
+	}
+	if s.dirty {
+		return Unknown
 	}
 	restartIdx := int64(1)
 	conflictsAtStart := s.conflicts

@@ -58,6 +58,9 @@ func (s *Solver) Pop() {
 	sc := s.scopes[n-1]
 	s.scopes = s.scopes[:n-1]
 	s.asserted = s.asserted[:sc.asserted]
+	if s.dropped > len(s.scopes)+1 {
+		s.dropped = 0 // the cut-short assertion left with the scope
+	}
 	s.lastStatus = sat.Unknown
 	s.sat.ReleaseVar(sc.act.Neg())
 }

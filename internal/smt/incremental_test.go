@@ -3,7 +3,9 @@ package smt
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sat"
 )
@@ -252,5 +254,68 @@ func TestLearntRetainedAcrossScopes(t *testing.T) {
 	}
 	if s.Check() != sat.Sat {
 		t.Fatal("solver must stay usable after ClearLearnts")
+	}
+}
+
+// TestInterruptedAssertion: an assertion whose compilation the stop flag
+// cuts short leaves the solver answering Unknown until its scope is
+// popped; with the flag cleared, the same terms compile in full and the
+// answers are right again.
+func TestInterruptedAssertion(t *testing.T) {
+	s := NewSolver()
+	x, y := s.Var("x"), s.Var("y")
+	contradiction := s.And(s.Or(x, y), s.Not(x), s.Not(y))
+	stop := new(atomic.Bool)
+	stop.Store(true)
+	s.SetStop(stop)
+	if !s.Interrupted() {
+		t.Fatal("Interrupted = false with the stop flag set")
+	}
+	s.Push()
+	s.Assert(contradiction)
+	if st := s.Check(); st != sat.Unknown {
+		t.Fatalf("Check after a cut-short assertion = %v, want unknown", st)
+	}
+	s.SetStop(nil)
+	if st := s.Check(); st != sat.Unknown {
+		t.Fatalf("Check with the assertion still missing = %v, want unknown", st)
+	}
+	s.Pop()
+	if st := s.Check(); st != sat.Sat {
+		t.Fatalf("Check after popping the scope = %v, want sat", st)
+	}
+	s.Push()
+	s.Assert(contradiction)
+	if st := s.Check(); st != sat.Unsat {
+		t.Fatalf("Check of the recompiled contradiction = %v, want unsat", st)
+	}
+	s.Pop()
+
+	// At the top level the missing constraint is permanent.
+	s.SetStop(stop)
+	s.Assert(s.Or(s.Not(x), y))
+	s.SetStop(nil)
+	if st := s.Check(); st != sat.Unknown {
+		t.Fatalf("Check after a cut-short top-level assertion = %v, want unknown", st)
+	}
+}
+
+// TestInterruptedByDeadline: a deadline in the past stops compilation
+// (after at most pollEvery polls) and the search.
+func TestInterruptedByDeadline(t *testing.T) {
+	s := NewSolver()
+	s.SetDeadline(time.Now().Add(-time.Second))
+	for i := 0; i < pollEvery && !s.Interrupted(); i++ {
+	}
+	if !s.Interrupted() {
+		t.Fatalf("Interrupted = false after %d polls past the deadline", pollEvery)
+	}
+	s.Assert(s.Var("x"))
+	if st := s.Check(); st != sat.Unknown {
+		t.Fatalf("Check past the deadline = %v, want unknown", st)
+	}
+	s.SetDeadline(time.Time{})
+	if s.Interrupted() {
+		t.Fatal("Interrupted = true after the deadline was removed")
 	}
 }

@@ -108,11 +108,32 @@ type Solver struct {
 	asserted []T
 	nextTmp  int
 
+	// Limits polled while terms are built and compiled (see Interrupted).
+	// dropped is one more than the scope depth of the outermost assertion
+	// whose compilation was cut short, 0 when there is none.
+	deadline time.Time
+	stop     *atomic.Bool
+	polls    int
+	halted   bool
+	dropped  int
+
 	// Incremental state (see incremental.go): open assertion scopes, each
 	// guarded by an activation literal, and the status of the most recent
 	// Check — model accessors require it to be sat.Sat.
 	scopes     []scope
 	lastStatus sat.Status
+
+	// Fold's per-term results and its reused walk state (see fold.go):
+	// foldSeen stamps the nodes of the current walk with foldGen and
+	// foldSlot gives each its row in foldTab.
+	foldMemo  []int8
+	foldSeen  []uint32
+	foldSlot  []int32
+	foldGen   uint32
+	foldOrder []T
+	foldNodes int
+	foldVars  int
+	foldTab   []uint64
 }
 
 // NewSolver creates an empty solver containing only the constant terms.
@@ -139,14 +160,46 @@ func NewSolver() *Solver {
 func (s *Solver) SetBudget(conflicts int64) { s.sat.Budget = conflicts }
 
 // SetDeadline makes Check return sat.Unknown once the deadline passes; the
-// zero time removes the deadline.
-func (s *Solver) SetDeadline(t time.Time) { s.sat.Deadline = t }
+// zero time removes the deadline. It also bounds compilation and the
+// encoders that poll Interrupted.
+func (s *Solver) SetDeadline(t time.Time) {
+	s.sat.Deadline = t
+	s.deadline = t
+	s.halted = false
+}
 
 // SetStop installs (or with nil clears) a cancellation flag on the SAT
 // backend: a running Check returns sat.Unknown shortly after the flag
 // becomes true, leaving the solver reusable. Cancellation of a
-// determinacy check reaches the search through it.
-func (s *Solver) SetStop(f *atomic.Bool) { s.sat.SetStop(f) }
+// determinacy check reaches the search through it, and compilation and
+// the encoders through Interrupted.
+func (s *Solver) SetStop(f *atomic.Bool) {
+	s.sat.SetStop(f)
+	s.stop = f
+	s.halted = false
+}
+
+// pollEvery is how many Interrupted calls share one reading of the clock.
+const pollEvery = 256
+
+// Interrupted reports whether the stop flag is set or the deadline has
+// passed. Code that builds terms in bulk polls it every step and gives up
+// once it answers true; the caller then reports the query undecided. It
+// reads the clock only every pollEvery calls, and once it has answered
+// true it keeps doing so until SetDeadline or SetStop installs new limits.
+func (s *Solver) Interrupted() bool {
+	if s.halted {
+		return true
+	}
+	if s.stop != nil && s.stop.Load() {
+		s.halted = true
+	} else if !s.deadline.IsZero() {
+		if s.polls++; s.polls%pollEvery == 0 && time.Now().After(s.deadline) {
+			s.halted = true
+		}
+	}
+	return s.halted
+}
 
 // Counters returns the SAT backend's cumulative search counters.
 func (s *Solver) Counters() sat.Counters { return s.sat.Counters() }
@@ -346,10 +399,19 @@ func (s *Solver) Ite(c, a, b T) T {
 // Assert adds t as a constraint for subsequent Check calls. Inside a Push
 // scope the constraint is retired again by the matching Pop; at the top
 // level it is permanent. Asserting invalidates any previously found model.
+// When Interrupted cuts t's compilation short the constraint is missing,
+// so every Check answers sat.Unknown until the scope holding it is popped
+// (for good at the top level).
 func (s *Solver) Assert(t T) {
 	s.asserted = append(s.asserted, t)
 	s.lastStatus = sat.Unknown
-	l := s.compile(t)
+	l, ok := s.compile(t)
+	if !ok {
+		if s.dropped == 0 {
+			s.dropped = len(s.scopes) + 1
+		}
+		return
+	}
 	if n := len(s.scopes); n > 0 {
 		// Guard by the innermost activation literal only: scopes pop LIFO,
 		// so releasing that literal is what retires this clause.
@@ -363,9 +425,17 @@ func (s *Solver) Assert(t T) {
 // assumption terms. Constraints asserted in open scopes participate via
 // their activation literals.
 func (s *Solver) Check(assumptions ...T) sat.Status {
+	s.lastStatus = sat.Unknown
+	if s.dropped > 0 {
+		return sat.Unknown
+	}
 	lits := make([]sat.Lit, 0, len(assumptions)+len(s.scopes))
 	for _, a := range assumptions {
-		lits = append(lits, s.compile(a))
+		l, ok := s.compile(a)
+		if !ok {
+			return sat.Unknown
+		}
+		lits = append(lits, l)
 	}
 	for _, sc := range s.scopes {
 		lits = append(lits, sc.act)
@@ -444,10 +514,16 @@ func (s *Solver) setCompiled(t T, l sat.Lit) {
 	s.compiled[t] = l
 }
 
-// compile Tseitin-encodes t and returns its representative literal.
-func (s *Solver) compile(t T) sat.Lit {
+// compile Tseitin-encodes t and returns its representative literal. It
+// returns false when Interrupted stops it; the terms compiled by then keep
+// their complete definitions, and t and the terms above it stay
+// uncompiled.
+func (s *Solver) compile(t T) (sat.Lit, bool) {
 	if l, ok := s.compiledLit(t); ok {
-		return l
+		return l, true
+	}
+	if s.Interrupted() {
+		return 0, false
 	}
 	n := s.nodes[t]
 	var l sat.Lit
@@ -455,11 +531,15 @@ func (s *Solver) compile(t T) sat.Lit {
 	case opVar:
 		l = sat.PosLit(s.sat.NewVar())
 	case opNot:
-		l = s.compile(n.args[0]).Neg()
+		a, ok := s.compile(n.args[0])
+		if !ok {
+			return 0, false
+		}
+		l = a.Neg()
 	case opAnd:
 		args := make([]sat.Lit, len(n.args))
-		for i, a := range n.args {
-			args[i] = s.compile(a)
+		if !s.compileArgs(args, n.args) {
+			return 0, false
 		}
 		l = sat.PosLit(s.sat.NewVar())
 		// l ↔ ∧args
@@ -472,8 +552,8 @@ func (s *Solver) compile(t T) sat.Lit {
 		s.sat.AddClause(long...)
 	case opOr:
 		args := make([]sat.Lit, len(n.args))
-		for i, a := range n.args {
-			args[i] = s.compile(a)
+		if !s.compileArgs(args, n.args) {
+			return 0, false
 		}
 		l = sat.PosLit(s.sat.NewVar())
 		// l ↔ ∨args
@@ -485,9 +565,11 @@ func (s *Solver) compile(t T) sat.Lit {
 		}
 		s.sat.AddClause(long...)
 	case opIte:
-		c := s.compile(n.args[0])
-		a := s.compile(n.args[1])
-		b := s.compile(n.args[2])
+		var cab [3]sat.Lit
+		if !s.compileArgs(cab[:], n.args) {
+			return 0, false
+		}
+		c, a, b := cab[0], cab[1], cab[2]
 		l = sat.PosLit(s.sat.NewVar())
 		// l ↔ (c ? a : b)
 		s.sat.AddClause(l.Neg(), c.Neg(), a)
@@ -501,7 +583,19 @@ func (s *Solver) compile(t T) sat.Lit {
 		panic("smt: compiling constant should have been cached")
 	}
 	s.setCompiled(t, l)
-	return l
+	return l, true
+}
+
+// compileArgs compiles a node's arguments in order into dst.
+func (s *Solver) compileArgs(dst []sat.Lit, ts []T) bool {
+	for i, a := range ts {
+		l, ok := s.compile(a)
+		if !ok {
+			return false
+		}
+		dst[i] = l
+	}
+	return true
 }
 
 // EnumConst returns the constant term of sort with the given value.

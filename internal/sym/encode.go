@@ -180,8 +180,13 @@ func (en *Encoder) Pred(a fs.Pred, st *State) smt.T {
 }
 
 // Apply computes Φ(e)Σ (figure 7): the symbolic strongest postcondition of
-// e from st, fusing the ok(e) and f(e) functions.
+// e from st, fusing the ok(e) and f(e) functions. It polls the solver's
+// deadline and stop flag at every step; once en.S.Interrupted() it
+// returns states that are cut short, which the caller must discard.
 func (en *Encoder) Apply(e fs.Expr, st *State) *State {
+	if en.S.Interrupted() {
+		return st
+	}
 	switch e := fs.Unwrap(e).(type) {
 	case fs.Id:
 		return st
@@ -221,7 +226,10 @@ func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 	case fs.Seq:
 		return en.Apply(e.E2, en.Apply(e.E1, st))
 	case fs.If:
-		c := en.Pred(e.A, st)
+		// A guard that is constant over every input takes one branch:
+		// merging both under it would leave the SAT search to re-derive
+		// the constant on every path.
+		c := en.S.Fold(en.Pred(e.A, st))
 		switch c {
 		case smt.TrueT:
 			return en.Apply(e.Then, st)
@@ -283,9 +291,14 @@ func (en *Encoder) PathDiffers(a, b *State, p fs.Path) smt.T {
 // StatesDiffer returns the formula "a and b are observably different
 // outcomes": exactly one errored, or both succeeded with different
 // filesystems. Two error states are equal regardless of their filesystems.
+// Like Apply it stops early, with a meaningless formula, once
+// en.S.Interrupted().
 func (en *Encoder) StatesDiffer(a, b *State) smt.T {
 	diffs := make([]smt.T, 0, len(en.V.Paths)+1)
 	for _, p := range en.V.Paths {
+		if en.S.Interrupted() {
+			return smt.FalseT
+		}
 		diffs = append(diffs, en.PathDiffers(a, b, p))
 	}
 	bothOk := en.S.And(a.Ok, b.Ok)

@@ -44,7 +44,8 @@ type Options struct {
 	// Deadline, when non-zero, abandons the query with ErrBudget once it
 	// passes. Stop, when non-nil, abandons it with ErrBudget soon after
 	// the flag is set; that is how a canceled check stops a running
-	// search.
+	// search. Both also stop the encoding and compilation in front of
+	// the search.
 	Deadline time.Time
 	Stop     *atomic.Bool
 	// Metrics, when non-nil, accumulates the search counters the query
@@ -103,7 +104,11 @@ func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 	input := en.FreshInputState("in")
 	out1 := en.Apply(e1, input)
 	out2 := en.Apply(e2, input)
-	en.S.Assert(en.StatesDiffer(out1, out2))
+	differ := en.StatesDiffer(out1, out2)
+	if en.S.Interrupted() {
+		return false, nil, ErrBudget
+	}
+	en.S.Assert(differ)
 	switch en.S.Check() {
 	case sat.Unsat:
 		return true, nil, nil

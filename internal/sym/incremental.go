@@ -113,6 +113,9 @@ func (s *Session) applyMemo(e fs.Expr) *State {
 			return st
 		}
 		st := s.applyCompute(e)
+		if s.en.S.Interrupted() {
+			return st // cut short: never memoized
+		}
 		s.applyNode[h] = st
 		s.stats.ApplyMisses++
 		return st
@@ -123,6 +126,9 @@ func (s *Session) applyMemo(e fs.Expr) *State {
 		return st
 	}
 	st := s.applyCompute(e)
+	if s.en.S.Interrupted() {
+		return st
+	}
 	s.apply[d] = st
 	s.stats.ApplyMisses++
 	return st
@@ -162,14 +168,18 @@ func (s *Session) Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, er
 			opts.Metrics.add(delta)
 		}
 	}()
-	out1 := s.applyMemo(e1)
-	out2 := s.applyMemo(e2)
 	s.en.S.SetBudget(opts.Budget)
 	s.en.S.SetDeadline(opts.Deadline)
 	s.en.S.SetStop(opts.Stop)
+	out1 := s.applyMemo(e1)
+	out2 := s.applyMemo(e2)
+	differ := s.en.StatesDiffer(out1, out2)
+	if s.en.S.Interrupted() {
+		return false, nil, ErrBudget
+	}
 	s.en.S.Push()
 	defer s.en.S.Pop()
-	s.en.S.Assert(s.en.StatesDiffer(out1, out2))
+	s.en.S.Assert(differ)
 	switch s.en.S.Check() {
 	case sat.Unsat:
 		return true, nil, nil

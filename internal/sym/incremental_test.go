@@ -2,7 +2,9 @@ package sym
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fs"
 )
@@ -156,5 +158,42 @@ func TestSessionLearntRetention(t *testing.T) {
 	st := sess.Stats()
 	if st.Simplify.VarsRecycled == 0 {
 		t.Error("no activation variables recycled over the query stream")
+	}
+}
+
+// TestSessionStoppedQueryLeavesNoTrace: a query stopped before its
+// encoding returns ErrBudget and memoizes nothing, so the next query on
+// the same session gets the fresh solver's verdict and counterexample.
+// Plain and hash-consed expressions use different memos; both are run.
+func TestSessionStoppedQueryLeavesNoTrace(t *testing.T) {
+	plain1 := fs.Seq{E1: fs.Mkdir{Path: "/a"}, E2: fs.Creat{Path: "/a/f", Content: "x"}}
+	plain2 := fs.Creat{Path: "/a/f", Content: "x"}
+	for _, pair := range [][2]fs.Expr{{plain1, plain2}, {fs.Intern(plain1), fs.Intern(plain2)}} {
+		e1, e2 := pair[0], pair[1]
+		dom := fs.Dom(e1)
+		dom.AddAll(fs.Dom(e2))
+		sess := NewSession(NewVocab(dom, e1, e2))
+		stop := new(atomic.Bool)
+		stop.Store(true)
+		if _, _, err := sess.Equiv(e1, e2, Options{Stop: stop}); err != ErrBudget {
+			t.Fatalf("stopped query: err = %v, want ErrBudget", err)
+		}
+		if _, _, err := sess.Equiv(e1, e2, Options{Deadline: time.Now().Add(-time.Second)}); err != ErrBudget {
+			t.Fatalf("query past its deadline: err = %v, want ErrBudget", err)
+		}
+		eq, cex, err := sess.Equiv(e1, e2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEq, wantCex, err := Equiv(e1, e2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq != wantEq || eq {
+			t.Fatalf("%T: session verdict %v, fresh %v; want both false", e1, eq, wantEq)
+		}
+		if cex.String() != wantCex.String() {
+			t.Fatalf("%T: session counterexample\n%s\nfresh\n%s", e1, cex, wantCex)
+		}
 	}
 }
