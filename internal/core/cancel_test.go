@@ -139,3 +139,59 @@ func TestIdempotenceHonorsDeadlines(t *testing.T) {
 	})
 	leakcheck.Assert(t, base)
 }
+
+// TestInterruptDuringFinalQuery: a Timeout or context that ends while the
+// final determinacy query of a non-deterministic manifest is being encoded
+// stops the check with ErrTimeout or an error wrapping ErrCanceled. The
+// disequalities encoded after the interrupt are placeholders, and a solve
+// on them reported the manifest deterministic: under a Timeout that ended
+// before the first of a fleet's two disequalities, and under a
+// cancellation before the only disequality of a two-order manifest, after
+// which the check polls its context no more.
+func TestInterruptDuringFinalQuery(t *testing.T) {
+	fleet := benchmarks.Fleet(50, benchmarks.FleetLocalDep, 1)
+	const twoOrders = `
+package {'ntp': ensure => present }
+file {'/etc/ntp.conf': content => 'server pool.ntp.org' }
+`
+	timeout := time.Second
+	if raceEnabled {
+		timeout = 3 * time.Second
+	}
+	check := func(name, src string, want error, opts core.Options, interrupt func()) {
+		t.Helper()
+		sys, err := core.Load(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reached := false
+		defer core.SetFinalDiffTestHook(func(i int) {
+			if i == 1 {
+				reached = true
+				interrupt()
+			}
+		})()
+		res, err := sys.CheckDeterminism()
+		if !reached {
+			t.Fatalf("%s: check ended (err = %v) before its final query", name, err)
+		}
+		if !errors.Is(err, want) {
+			t.Errorf("%s: got %+v, err = %v; want an error wrapping %v", name, res, err, want)
+		}
+	}
+
+	opts := core.DefaultOptions()
+	opts.Timeout = timeout
+	check("fleet, timeout", fleet, core.ErrTimeout, opts, func() { time.Sleep(timeout) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts = core.DefaultOptions()
+	opts.Context = ctx
+	check("two orders, canceled context", twoOrders, core.ErrCanceled, opts, func() {
+		cancel()
+		// The check forwards the cancellation to its solver's stop flag
+		// from a goroutine of its own; give that goroutine time to run.
+		time.Sleep(50 * time.Millisecond)
+	})
+}

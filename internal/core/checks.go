@@ -143,9 +143,6 @@ func (s *System) CheckFileInvariant(path fs.Path, content string) (*InvariantRes
 		en.S.EnumEq(got.Kind, want.Kind),
 		en.S.EnumEq(got.Content, want.Content),
 	)
-	if en.S.Interrupted() {
-		return nil, s.abandoned()
-	}
 	en.S.Assert(en.S.And(out.Ok, en.S.Not(holds)))
 	switch en.S.Check() {
 	case sat.Unsat:

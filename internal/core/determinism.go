@@ -361,6 +361,9 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		if err := cc.err(); err != nil {
 			return nil, err
 		}
+		if finalDiffTestHook != nil {
+			finalDiffTestHook(i)
+		}
 		diffTerms[i] = en.StatesDiffer(outs[0], outs[i])
 		ts = append(ts, diffTerms[i])
 	}
@@ -717,6 +720,12 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (in
 // resource's model symbolically (ΦG of figures 7 and 9a). It returns the
 // symbolic output state and resource order of every explored
 // linearization. r is the reachability of the graph wg was induced from.
+// finalDiffTestHook, when non-nil, runs before each disequality of the
+// final determinacy query is encoded, with the index of the outcome
+// compared against the first. Tests use it to end a check's deadline or
+// context at that point; production never sets it.
+var finalDiffTestHook func(i int)
+
 func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, input *sym.State, opts Options, deadline time.Time, cc *commuteChecker) ([]*sym.State, [][]graph.Node, error) {
 	nodes := wg.Nodes()
 	idx := make(map[graph.Node]int, len(nodes))

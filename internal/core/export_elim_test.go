@@ -137,3 +137,10 @@ func eliminateRounds(wg *graph.Graph[*workNode], cc *commuteChecker) []*workNode
 		}
 	}
 }
+
+// SetFinalDiffTestHook installs f as the hook run before each disequality
+// of the final determinacy query is encoded; the returned func removes it.
+func SetFinalDiffTestHook(f func(i int)) (restore func()) {
+	finalDiffTestHook = f
+	return func() { finalDiffTestHook = nil }
+}

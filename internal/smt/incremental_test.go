@@ -257,9 +257,9 @@ func TestLearntRetainedAcrossScopes(t *testing.T) {
 	}
 }
 
-// TestInterruptedAssertion: an assertion whose compilation the stop flag
-// cuts short leaves the solver answering Unknown until its scope is
-// popped; with the flag cleared, the same terms compile in full and the
+// TestInterruptedAssertion: once the stop flag is seen, Check answers
+// Unknown; an assertion whose compilation the stop flag cuts short leaves
+// the solver answering Unknown until its scope is popped; with the flag cleared, the same terms compile in full and the
 // answers are right again.
 func TestInterruptedAssertion(t *testing.T) {
 	s := NewSolver()
@@ -270,6 +270,15 @@ func TestInterruptedAssertion(t *testing.T) {
 	s.SetStop(stop)
 	if !s.Interrupted() {
 		t.Fatal("Interrupted = false with the stop flag set")
+	}
+	// An assertion that needs no compiling gets no verdict either, even
+	// one the SAT backend already knows to be unsatisfiable: terms built
+	// after the interrupt may be placeholders.
+	placeholder := NewSolver()
+	placeholder.SetStop(stop)
+	placeholder.Assert(FalseT)
+	if st := placeholder.Check(); st != sat.Unknown {
+		t.Fatalf("Check of a compiled assertion after the interrupt = %v, want unknown", st)
 	}
 	s.Push()
 	s.Assert(contradiction)

@@ -184,7 +184,7 @@ const pollEvery = 256
 
 // Interrupted reports whether the stop flag is set or the deadline has
 // passed. Code that builds terms in bulk polls it every step and gives up
-// once it answers true; the caller then reports the query undecided. It
+// once it answers true; every later Check then answers sat.Unknown. It
 // reads the clock only every pollEvery calls, and once it has answered
 // true it keeps doing so until SetDeadline or SetStop installs new limits.
 func (s *Solver) Interrupted() bool {
@@ -423,10 +423,12 @@ func (s *Solver) Assert(t T) {
 
 // Check decides satisfiability of the asserted constraints under the given
 // assumption terms. Constraints asserted in open scopes participate via
-// their activation literals.
+// their activation literals. Once Interrupted has answered true it answers
+// sat.Unknown without searching: terms built after the interrupt are
+// placeholders (see sym.Encoder.Apply), and no verdict may rest on them.
 func (s *Solver) Check(assumptions ...T) sat.Status {
 	s.lastStatus = sat.Unknown
-	if s.dropped > 0 {
+	if s.Interrupted() || s.dropped > 0 {
 		return sat.Unknown
 	}
 	lits := make([]sat.Lit, 0, len(assumptions)+len(s.scopes))

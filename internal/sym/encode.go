@@ -182,7 +182,8 @@ func (en *Encoder) Pred(a fs.Pred, st *State) smt.T {
 // Apply computes Φ(e)Σ (figure 7): the symbolic strongest postcondition of
 // e from st, fusing the ok(e) and f(e) functions. It polls the solver's
 // deadline and stop flag at every step; once en.S.Interrupted() it
-// returns states that are cut short, which the caller must discard.
+// returns states that are cut short. en.S.Check answers sat.Unknown from
+// then on, so no verdict rests on them; memos must not keep them.
 func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 	if en.S.Interrupted() {
 		return st
@@ -291,8 +292,8 @@ func (en *Encoder) PathDiffers(a, b *State, p fs.Path) smt.T {
 // StatesDiffer returns the formula "a and b are observably different
 // outcomes": exactly one errored, or both succeeded with different
 // filesystems. Two error states are equal regardless of their filesystems.
-// Like Apply it stops early, with a meaningless formula, once
-// en.S.Interrupted().
+// Like Apply it stops early, with a meaningless formula that en.S.Check
+// will not decide, once en.S.Interrupted().
 func (en *Encoder) StatesDiffer(a, b *State) smt.T {
 	diffs := make([]smt.T, 0, len(en.V.Paths)+1)
 	for _, p := range en.V.Paths {

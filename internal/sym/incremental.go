@@ -173,13 +173,9 @@ func (s *Session) Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, er
 	s.en.S.SetStop(opts.Stop)
 	out1 := s.applyMemo(e1)
 	out2 := s.applyMemo(e2)
-	differ := s.en.StatesDiffer(out1, out2)
-	if s.en.S.Interrupted() {
-		return false, nil, ErrBudget
-	}
 	s.en.S.Push()
 	defer s.en.S.Pop()
-	s.en.S.Assert(differ)
+	s.en.S.Assert(s.en.StatesDiffer(out1, out2))
 	switch s.en.S.Check() {
 	case sat.Unsat:
 		return true, nil, nil
