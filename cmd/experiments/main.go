@@ -269,11 +269,11 @@ func printIncremental(timeout time.Duration, out string) {
 func printIncrementalTable(rep *experiments.IncrementalReport) {
 	fmt.Println("== Incremental SMT backend: fresh vs pooled solvers ==")
 	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-12s %14s %10s %8s %8s %8s\n",
-		"mode", "time", "queries", "reuses", "learnt", "presimp")
+	fmt.Printf("%-12s %14s %10s %8s %8s\n",
+		"mode", "time", "queries", "reuses", "learnt")
 	for _, r := range rep.Native {
-		fmt.Printf("%-12s %14s %10d %8d %8d %8d\n", r.Mode, fmtTime(r.Time, r.TimedOut),
-			r.Queries, r.SolverReuses, r.LearntRetained, r.PreprocessRemoved)
+		fmt.Printf("%-12s %14s %10d %8d %8d\n", r.Mode, fmtTime(r.Time, r.TimedOut),
+			r.Queries, r.SolverReuses, r.LearntRetained)
 	}
 	fmt.Printf("pooled speedup over fresh: warm %.2fx, cold %.2fx\n\n",
 		rep.NativeWarmSpeedup, rep.NativeColdSpeedup)

@@ -402,9 +402,8 @@ func verifyOne(w, ew io.Writer, path, src string, opts options) int {
 	if opts.stats {
 		// Statistics are diagnostics, not results: stderr, so stdout stays
 		// clean for verdicts (and pipelines scraping them).
-		fmt.Fprintf(ew, "  solver-queries=%d solver-reuses=%d learnt-retained=%d preprocess-removed=%d\n",
-			res.Stats.SemQueries, res.Stats.SolverReuses,
-			res.Stats.LearntRetained, res.Stats.PreprocessRemoved)
+		fmt.Fprintf(ew, "  solver-queries=%d solver-reuses=%d learnt-retained=%d\n",
+			res.Stats.SemQueries, res.Stats.SolverReuses, res.Stats.LearntRetained)
 		fmt.Fprintf(ew, "  intern-hits=%d encode-memo-hits=%d disk-cache-hits=%d\n",
 			res.Stats.InternHits, res.Stats.EncodeMemoHits, res.Stats.DiskCacheHits)
 		fmt.Fprintf(ew, "  decisions=%d propagations=%d conflicts=%d restarts=%d\n",

@@ -55,10 +55,6 @@ type Stats struct {
 	// check's solver pool when the check finished — knowledge later
 	// queries inherit instead of rediscovering.
 	LearntRetained int
-	// PreprocessRemoved counts clauses deleted by the pooled solvers'
-	// root-level preprocessing passes (satisfied-clause removal and
-	// subsumption), cumulative over the pool.
-	PreprocessRemoved int64
 
 	// InternHits counts hash-consing table hits while compiling and
 	// re-compiling this system's resource models — structurally repeated
@@ -329,7 +325,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		stats.InheritMisses = int(cc.inheritMisses.Load())
 	}
 	if cc.pool != nil {
-		stats.LearntRetained, stats.PreprocessRemoved = cc.pool.snapshot()
+		stats.LearntRetained = cc.pool.snapshot()
 		if d := cc.pool.applyHits() - applyHitsBase; d > 0 {
 			stats.EncodeMemoHits = d
 		}

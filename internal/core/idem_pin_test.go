@@ -17,18 +17,20 @@ import (
 // build it (one valid order e, asserting e and e;e differ). The figures
 // are those of the encoding that folds constant If guards (smt.Fold), so
 // the second application of e takes one branch wherever the first one
-// settled the guard. Encoding and solver data-layout changes must leave
-// every figure where it is; a change that moves them changed the formula
-// or the search.
+// settled the guard. The clause counts include clauses that the root
+// assignment satisfies after they were stored, and the search starts on
+// the CNF as compiled: the solver has no preprocessing pass. Encoding and
+// solver data-layout changes must leave every figure where it is; a
+// change that moves them changed the formula or the search.
 func TestIdempotenceSearchPinned(t *testing.T) {
 	pins := []struct {
 		name  string
 		terms int
 		stats string
 	}{
-		{"bind", 1426, "vars=566 clauses=1089 conflicts=22 decisions=460 propagations=1882"},
-		{"clamav", 1683, "vars=620 clauses=1198 conflicts=22 decisions=440 propagations=1863"},
-		{"nginx", 1295, "vars=507 clauses=1020 conflicts=18 decisions=402 propagations=1426"},
+		{"bind", 1426, "vars=566 clauses=1434 conflicts=9 decisions=39 propagations=335"},
+		{"clamav", 1683, "vars=620 clauses=1576 conflicts=27 decisions=428 propagations=1869"},
+		{"nginx", 1295, "vars=507 clauses=1325 conflicts=11 decisions=21 propagations=233"},
 	}
 	for _, p := range pins {
 		b, err := benchmarks.Get(p.name)
@@ -51,7 +53,7 @@ func TestIdempotenceSearchPinned(t *testing.T) {
 // TestFig12SearchBounded gates figure 12 by search work rather than wall
 // clock: each of the 13 verified manifests' idempotence queries is Unsat
 // within 200 conflicts and 5,000 decisions. Folding constant guards keeps
-// the largest under 50 conflicts and 1,400 decisions; without it ten of
+// the largest under 50 conflicts and 1,600 decisions; without it ten of
 // the 13 pass a bound, the package-heavy ones at over 1,200 conflicts and
 // 400,000 decisions.
 func TestFig12SearchBounded(t *testing.T) {

@@ -54,17 +54,14 @@ func (p *sessionPool) applyHits() int64 {
 	return n
 }
 
-// snapshot sums solver gauges over the parked sessions: live learnt clauses
-// and clauses removed by root-level preprocessing.
-func (p *sessionPool) snapshot() (learnt int, preprocessed int64) {
+// snapshot sums the live learnt clauses over the parked sessions.
+func (p *sessionPool) snapshot() (learnt int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range p.free {
-		st := s.Stats()
-		learnt += st.LearntRetained
-		preprocessed += st.Simplify.Removed + st.Simplify.Subsumed
+		learnt += s.Stats().LearntRetained
 	}
-	return learnt, preprocessed
+	return learnt
 }
 
 // The process-wide pool registry, keyed by vocabulary digest: re-checking

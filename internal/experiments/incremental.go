@@ -13,14 +13,13 @@ import (
 // experiment: the semantic-commute-heavy workload checked with a given
 // solver strategy.
 type IncrementalRow struct {
-	Mode              string        `json:"mode"` // fresh | pooled-cold | pooled-warm
-	Time              time.Duration `json:"-"`
-	Seconds           float64       `json:"seconds"`
-	Queries           int           `json:"queries"`            // solver queries run
-	SolverReuses      int           `json:"solver_reuses"`      // queries answered by a pooled solver
-	LearntRetained    int           `json:"learnt_retained"`    // learnt clauses alive in the pool afterwards
-	PreprocessRemoved int64         `json:"preprocess_removed"` // clauses removed by root-level preprocessing
-	TimedOut          bool          `json:"timed_out"`
+	Mode           string        `json:"mode"` // fresh | pooled-cold | pooled-warm
+	Time           time.Duration `json:"-"`
+	Seconds        float64       `json:"seconds"`
+	Queries        int           `json:"queries"`         // solver queries run
+	SolverReuses   int           `json:"solver_reuses"`   // queries answered by a pooled solver
+	LearntRetained int           `json:"learnt_retained"` // learnt clauses alive in the pool afterwards
+	TimedOut       bool          `json:"timed_out"`
 }
 
 // IncrementalWorkers is the worker count every incremental-experiment row
@@ -73,7 +72,6 @@ func IncrementalSpeedup(timeout time.Duration) ([]IncrementalRow, error) {
 			row.Queries = res.Stats.SemQueries
 			row.SolverReuses = res.Stats.SolverReuses
 			row.LearntRetained = res.Stats.LearntRetained
-			row.PreprocessRemoved = res.Stats.PreprocessRemoved
 		}
 		rows = append(rows, row)
 	}

@@ -5,124 +5,30 @@ import (
 	"testing"
 )
 
-// TestSimplifyRemovesSatisfied: a clause satisfied at the root level after
-// later unit propagation is deleted by the preprocessing pass.
-func TestSimplifyRemovesSatisfied(t *testing.T) {
+// TestAddClauseNormalizesAtRoot: AddClause is the solver's only clause
+// cleanup. Against a root unit, a clause the unit satisfies is not stored
+// and a clause containing the unit's negation is stored without it.
+func TestAddClauseNormalizesAtRoot(t *testing.T) {
 	s := New()
-	a, b := s.NewVar(), s.NewVar()
-	s.AddClause(PosLit(a), PosLit(b))
-	s.AddClause(PosLit(a)) // propagates a=true, satisfying the clause above
-	if !s.Simplify() {
-		t.Fatal("Simplify reported unsat")
-	}
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(PosLit(a))
+	s.AddClause(PosLit(a), PosLit(b)) // satisfied by the unit: dropped
 	if got := s.NumClauses(); got != 0 {
-		t.Errorf("NumClauses after Simplify = %d, want 0", got)
+		t.Fatalf("NumClauses after a root-satisfied clause = %d, want 0", got)
 	}
-	if s.SimplifyCounters().Removed == 0 {
-		t.Error("Removed counter not incremented")
-	}
-	if s.Solve() != Sat {
-		t.Error("formula should stay sat")
-	}
-}
-
-// TestSimplifyStrengthens: root-false literals are dropped from surviving
-// clauses.
-func TestSimplifyStrengthens(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	s.AddClause(PosLit(a), PosLit(b), PosLit(c))
-	s.AddClause(NegLit(a)) // a=false: the ternary clause should shrink to (b ∨ c)
-	if !s.Simplify() {
-		t.Fatal("Simplify reported unsat")
-	}
+	s.AddClause(NegLit(a), PosLit(b), PosLit(c)) // stored as (b ∨ c)
 	if got := s.NumClauses(); got != 1 {
-		t.Errorf("NumClauses after Simplify = %d, want 1", got)
+		t.Fatalf("NumClauses after a clause with a root-false literal = %d, want 1", got)
 	}
-	if s.SimplifyCounters().Strengthened == 0 {
-		t.Error("Strengthened counter not incremented")
+	if got := s.clauses[0].lits; len(got) != 2 || got[0].Var() == a || got[1].Var() == a {
+		t.Errorf("stored clause = %v, want (b ∨ c) without ¬a", got)
 	}
-	if s.Solve() != Sat {
-		t.Error("formula should stay sat")
-	}
-	if !s.Value(b) && !s.Value(c) {
-		t.Error("model violates strengthened clause")
-	}
-}
-
-// TestSimplifySubsumption: (a ∨ b) subsumes (a ∨ b ∨ c).
-func TestSimplifySubsumption(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	s.AddClause(PosLit(a), PosLit(b))
-	s.AddClause(PosLit(a), PosLit(b), PosLit(c))
-	if !s.Simplify() {
-		t.Fatal("Simplify reported unsat")
-	}
-	if got := s.NumClauses(); got != 1 {
-		t.Errorf("NumClauses after Simplify = %d, want 1", got)
-	}
-	if s.SimplifyCounters().Subsumed != 1 {
-		t.Errorf("Subsumed = %d, want 1", s.SimplifyCounters().Subsumed)
-	}
-}
-
-// TestSimplifySelfSubsumption: resolving (a ∨ b) against (¬a ∨ b ∨ c) on a
-// yields (b ∨ c), which replaces the longer clause.
-func TestSimplifySelfSubsumption(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	s.AddClause(PosLit(a), PosLit(b))
-	s.AddClause(NegLit(a), PosLit(b), PosLit(c))
-	if !s.Simplify() {
-		t.Fatal("Simplify reported unsat")
-	}
-	if got := s.NumClauses(); got != 2 {
-		t.Errorf("NumClauses after Simplify = %d, want 2", got)
-	}
-	if s.SimplifyCounters().Strengthened == 0 {
-		t.Error("Strengthened counter not incremented by self-subsumption")
-	}
-	// ¬b must now force both a (first clause) and c (strengthened clause).
+	// Under ¬b the stored clause alone must force c.
 	if s.Solve(NegLit(b)) != Sat {
 		t.Fatal("should be sat under ¬b")
 	}
 	if !s.Value(a) || !s.Value(c) {
-		t.Error("self-subsumed clause not strengthened: ¬b should force a and c")
-	}
-}
-
-// TestReleaseVarRecycling exercises the full activation-literal lifecycle:
-// guard clauses behind act, query under the assumption, retire the scope
-// with ReleaseVar, and observe the variable being handed out again.
-func TestReleaseVarRecycling(t *testing.T) {
-	s := New()
-	a := s.NewVar()
-	s.AddClause(PosLit(a))
-	act := s.NewVar()
-	s.AddClause(NegLit(act), NegLit(a)) // under act: ¬a, contradicting the base
-	if s.Solve(PosLit(act)) != Unsat {
-		t.Fatal("query under activation literal should be unsat")
-	}
-	if s.Solve() != Sat {
-		t.Fatal("base formula should stay sat")
-	}
-	nv := s.NumVars()
-	s.ReleaseVar(NegLit(act))
-	if !s.Simplify() {
-		t.Fatal("Simplify reported unsat")
-	}
-	if s.SimplifyCounters().VarsRecycled == 0 {
-		t.Fatal("released var not recycled")
-	}
-	if got := s.NewVar(); got != act {
-		t.Errorf("NewVar = %v, want recycled %v", got, act)
-	}
-	if s.NumVars() != nv {
-		t.Errorf("NumVars grew from %d to %d despite recycling", nv, s.NumVars())
-	}
-	if s.Solve() != Sat || !s.Value(a) {
-		t.Error("solver unusable after recycling")
+		t.Error("model violates the stored clause: ¬b should leave a and force c")
 	}
 }
 
@@ -171,10 +77,9 @@ func TestClearLearnts(t *testing.T) {
 // TestIncrementalActivationDifferential is the verdict-equivalence gate for
 // the incremental backend: one long-lived solver answers a stream of
 // assumption-scoped queries (each batch of extra clauses guarded by a fresh
-// activation literal, retired with ReleaseVar afterwards), and every verdict
-// must match a fresh solver built from scratch for that query. Periodic
-// explicit Simplify calls exercise preprocessing and variable recycling
-// mid-stream.
+// activation literal, retired with the unit clause ¬act afterwards), and
+// every verdict must match a fresh solver built from scratch for that
+// query.
 func TestIncrementalActivationDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 30; trial++ {
@@ -245,24 +150,12 @@ func TestIncrementalActivationDifferential(t *testing.T) {
 						}
 					}
 				}
-				inc.ReleaseVar(NegLit(act))
+				inc.AddClause(NegLit(act))
 			}
 			if got != want {
 				t.Fatalf("trial %d q %d: incremental=%v fresh=%v (base=%v extra=%v)",
 					trial, q, got, want, base, extra)
 			}
-			if q%4 == 3 && baseOK {
-				if !inc.Simplify() {
-					// Root-level conflict: the base formula itself is unsat.
-					if fresh := want; fresh != Unsat {
-						t.Fatalf("trial %d q %d: Simplify unsat but fresh=%v", trial, q, fresh)
-					}
-					baseOK = false
-				}
-			}
-		}
-		if baseOK && inc.SimplifyCounters().VarsRecycled == 0 {
-			t.Errorf("trial %d: no activation literals were recycled", trial)
 		}
 	}
 }

@@ -7,13 +7,12 @@ import (
 )
 
 // Search-identity pins. The solver's hot-path data layout (heap position
-// array, literal-indexed occurrence lists, level stamps) is free to change
-// only as long as the search itself does not: every decision, conflict,
-// propagation and restart must stay where it was, or verdict-level
-// fingerprints elsewhere (canonical witnesses, report digests, benchmark
-// counters) would drift. The golden values below were recorded before the
-// data layout moved off Go maps; a layout change that alters any of them
-// has changed the search, not just its speed.
+// array, level stamps) is free to change only as long as the search itself
+// does not: every decision, conflict, propagation and restart must stay
+// where it was, or verdict-level fingerprints elsewhere (canonical
+// witnesses, report digests, benchmark counters) would drift. A layout
+// change that alters any golden value below has changed the search, not
+// just its speed.
 
 // pinInstance is one corpus entry: it builds and runs a solver and
 // returns it together with a digest of the verdicts it reached.
@@ -26,7 +25,6 @@ type pinInstance struct {
 type pinGolden struct {
 	verdicts string
 	search   Counters
-	simp     SimplifyStats
 }
 
 // random3SAT builds a seeded random 3-SAT instance with nvars variables
@@ -50,8 +48,7 @@ func random3SAT(s *Solver, seed int64, nvars int, ratio float64) {
 // incrementalRun drives one long-lived solver through the lifecycle the
 // pooled determinacy sessions use: a random base formula, then a stream
 // of queries whose clauses are guarded by fresh activation literals,
-// retired with ReleaseVar, with periodic explicit Simplify calls so that
-// retired variables are recycled by later NewVar calls.
+// each retired afterwards with the unit clause ¬act.
 func incrementalRun() (*Solver, string) {
 	r := rand.New(rand.NewSource(7))
 	s := New()
@@ -68,10 +65,7 @@ func incrementalRun() (*Solver, string) {
 			s.AddClause(c...)
 		}
 		verdicts = append(verdicts, "?SU"[s.Solve(PosLit(act))])
-		s.ReleaseVar(NegLit(act))
-		if q%5 == 4 {
-			s.Simplify()
-		}
+		s.AddClause(NegLit(act))
 	}
 	return s, string(verdicts)
 }
@@ -98,21 +92,20 @@ func pinCorpus() []pinInstance {
 }
 
 var pinGoldens = map[string]pinGolden{
-	"3sat-50":      {"sat", Counters{Decisions: 56, Propagations: 541, Conflicts: 30, Restarts: 0}, SimplifyStats{}},
-	"3sat-100":     {"unsat", Counters{Decisions: 480, Propagations: 9335, Conflicts: 396, Restarts: 5}, SimplifyStats{}},
-	"3sat-150":     {"sat", Counters{Decisions: 1023, Propagations: 25102, Conflicts: 744, Restarts: 6}, SimplifyStats{Strengthened: 1, Subsumed: 1}},
-	"php-6":        {"unsat", Counters{Decisions: 1178, Propagations: 12470, Conflicts: 963, Restarts: 9}, SimplifyStats{}},
-	"php-7":        {"unsat", Counters{Decisions: 5420, Propagations: 56055, Conflicts: 4242, Restarts: 30}, SimplifyStats{}},
-	"php-7-reduce": {"unsat", Counters{Decisions: 14010, Propagations: 152071, Conflicts: 11148, Restarts: 62}, SimplifyStats{}},
+	"3sat-50":      {"sat", Counters{Decisions: 56, Propagations: 541, Conflicts: 30, Restarts: 0}},
+	"3sat-100":     {"unsat", Counters{Decisions: 480, Propagations: 9335, Conflicts: 396, Restarts: 5}},
+	"3sat-150":     {"sat", Counters{Decisions: 1824, Propagations: 46711, Conflicts: 1420, Restarts: 13}},
+	"php-6":        {"unsat", Counters{Decisions: 1178, Propagations: 12470, Conflicts: 963, Restarts: 9}},
+	"php-7":        {"unsat", Counters{Decisions: 5420, Propagations: 56055, Conflicts: 4242, Restarts: 30}},
+	"php-7-reduce": {"unsat", Counters{Decisions: 14010, Propagations: 152071, Conflicts: 11148, Restarts: 62}},
 	"incremental": {"USUSSSSSUUUSUSSSUSSSSSSUSSUSSUSUUUUSUUSS",
-		Counters{Decisions: 425, Propagations: 4647, Conflicts: 194, Restarts: 0},
-		SimplifyStats{Removed: 260, Strengthened: 33, Subsumed: 3, VarsRecycled: 40}},
+		Counters{Decisions: 380, Propagations: 4421, Conflicts: 181, Restarts: 0}},
 }
 
 func TestSearchCountersPinned(t *testing.T) {
 	for _, inst := range pinCorpus() {
 		s, verdicts := inst.run()
-		got := pinGolden{verdicts: verdicts, search: s.Counters(), simp: s.SimplifyCounters()}
+		got := pinGolden{verdicts: verdicts, search: s.Counters()}
 		want, ok := pinGoldens[inst.name]
 		if !ok {
 			t.Errorf("%s: no golden; got %#v", inst.name, got)
@@ -126,7 +119,7 @@ func TestSearchCountersPinned(t *testing.T) {
 
 // TestVarHeapModel drives the VSIDS heap with random pushes, pops and
 // activity bumps — including variables pushed out of numbering order and
-// re-pushed after being popped, as recycled variables are — and checks
+// re-pushed after being popped, as backtracking does — and checks
 // every pop against a sorted reference of the variables it holds.
 func TestVarHeapModel(t *testing.T) {
 	r := rand.New(rand.NewSource(31))

@@ -6,6 +6,24 @@
 // idempotence checks: the paper uses Z3 on effectively-propositional
 // formulas over a finite domain, which package smt reduces to propositional
 // logic and this package decides.
+//
+// One Solver may outlive many Solve calls, because Rehearsal's
+// determinacy engine asks thousands of structurally related queries:
+//
+//   - Solve(assumptions...) decides satisfiability under per-call
+//     assumption literals without touching the clause database. Callers
+//     scope per-query clauses by guarding each batch with an activation
+//     literal a (adding ¬a ∨ C), passing a as an assumption while the
+//     batch is live, and retiring it with the unit clause ¬a when done.
+//   - Learnt clauses survive across Solve calls. Assumptions are enqueued
+//     as decisions, so conflict analysis folds their negations into the
+//     learnt clauses it records — every learnt clause is implied by the
+//     problem clauses alone and stays sound for later queries.
+//   - ClearLearnts drops the learnt-clause database without disturbing
+//     the problem clauses, for callers that want a clean slate.
+//
+// There is no preprocessing pass: AddClause's level-0 normalization is
+// the only clause cleanup, and Solve goes straight to the search.
 package sat
 
 import (
@@ -155,13 +173,6 @@ type Solver struct {
 	// how a canceled determinacy check stops its search.
 	stop *atomic.Bool
 
-	// Incremental-solving state (see incremental.go).
-	released    []Var // vars retired by ReleaseVar, scrubbed at the next Simplify
-	recycled    []Var // fully scrubbed vars available for NewVar reuse
-	dirty       bool  // clauses added since the last preprocessing pass
-	subsumeHead int   // clause-index watermark for the subsumption pass
-	simp        SimplifyStats
-
 	// Budget limits the number of conflicts Solve may encounter; 0 means
 	// unlimited. Used by the timeout-bearing configurations of the
 	// determinacy checker.
@@ -213,15 +224,8 @@ func (s *Solver) NumClauses() int {
 // Conflicts returns the number of conflicts encountered so far.
 func (s *Solver) Conflicts() int64 { return s.conflicts }
 
-// NewVar allocates a fresh variable, reusing a recycled one (see
-// ReleaseVar) when available.
+// NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	if n := len(s.recycled); n > 0 {
-		v := s.recycled[n-1]
-		s.recycled = s.recycled[:n-1]
-		s.order.push(v)
-		return v
-	}
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, vUnknown)
 	s.phase = append(s.phase, false)
@@ -235,10 +239,9 @@ func (s *Solver) NewVar() Var {
 }
 
 // SetStop installs (or with nil clears) a cancellation flag checked on
-// every Solve iteration and between clauses of the root-level
-// subsumption pass: when the flag becomes true, Solve backtracks to
-// the root level and returns Unknown. The solver remains usable — a
-// stopped search does not poison the session.
+// entry to Solve and on every search iteration: when the flag becomes
+// true, Solve backtracks to the root level and returns Unknown. The
+// solver remains usable — a stopped search does not poison the session.
 func (s *Solver) SetStop(f *atomic.Bool) { s.stop = f }
 
 // stopRequested reports whether the installed stop flag is set.
@@ -261,15 +264,19 @@ func (s *Solver) litValue(l Lit) value {
 	return v
 }
 
-// AddClause adds a clause. Duplicate literals are removed; clauses
-// containing both a literal and its negation are dropped as tautologies.
-// Returns false if the formula became trivially unsatisfiable (an empty
-// clause, or a top-level conflict from unit propagation of a unit clause).
+// AddClause adds a clause, normalized against the root assignment: a
+// clause satisfied at level 0 or containing both a literal and its
+// negation is not stored, and duplicate and root-false literals are
+// dropped. A clause left with one literal is propagated at level 0 rather
+// than stored. This is the solver's only clause cleanup; a clause that
+// becomes satisfied later (a retired activation literal's ¬a ∨ C) stays
+// in the database. Returns false if the formula became trivially
+// unsatisfiable (an empty clause, or a top-level conflict from unit
+// propagation of a unit clause).
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsat {
 		return false
 	}
-	s.dirty = true
 	// Adding a clause invalidates any previous model: drop back to the root
 	// decision level so the level-0 simplification below is sound.
 	s.cancelUntil(0)
@@ -607,11 +614,8 @@ func (s *Solver) record(learnt []Lit) {
 // the random differential test pins that.
 func (s *Solver) reduceDB() {
 	// A clause is locked while some assigned variable names it as its
-	// reason. The trail is scanned rather than each candidate's first
-	// literal checked: a root variable can keep the number of a reason
-	// clause that Simplify has since deleted, and a learnt clause that
-	// reuses the slot stays locked — that is part of the search the
-	// counter pins fix.
+	// reason. Root assignments propagated at level 0 keep their reasons,
+	// so a learnt clause that implied a root literal is never deleted.
 	locked := make([]bool, len(s.clauses))
 	for _, l := range s.trail {
 		if r := s.reason[l.Var()]; r != nilClause {
@@ -642,11 +646,44 @@ func (s *Solver) reduceDB() {
 		return cands[i].act < cands[j].act
 	})
 	for _, c := range cands[:len(cands)/2] {
-		s.detach(c.cref)
-		s.clauses[c.cref] = clause{}
-		s.free = append(s.free, c.cref)
+		s.removeClause(c.cref)
+	}
+}
+
+// removeClause detaches and frees a clause.
+func (s *Solver) removeClause(cref clauseRef) {
+	s.detach(cref)
+	s.freeClause(cref)
+}
+
+// freeClause clears the slot and recycles it for future learnt clauses.
+// The caller must have detached the clause already.
+func (s *Solver) freeClause(cref clauseRef) {
+	if s.clauses[cref].learnt {
 		s.nLearnt--
 	}
+	s.clauses[cref] = clause{}
+	s.free = append(s.free, cref)
+}
+
+// LearntClauses returns the number of live learnt clauses.
+func (s *Solver) LearntClauses() int { return s.nLearnt }
+
+// ClearLearnts removes every learnt clause. The problem clauses, the root
+// trail and the variable activities are untouched.
+func (s *Solver) ClearLearnts() {
+	s.cancelUntil(0)
+	// Root assignments stand on their own; drop references to learnt
+	// reason clauses before freeing them.
+	for _, l := range s.trail {
+		s.reason[l.Var()] = nilClause
+	}
+	for i := range s.clauses {
+		if c := &s.clauses[i]; c.learnt && c.lits != nil {
+			s.removeClause(clauseRef(i))
+		}
+	}
+	s.nLearnt = 0
 }
 
 // detach removes the clause's two watchers.
@@ -691,25 +728,17 @@ func luby(i int64) int64 {
 
 // Solve decides satisfiability under the given assumptions. It returns Sat
 // with a model retrievable via Value, Unsat, or Unknown if the conflict
-// budget was exhausted.
+// budget was exhausted, the Deadline passed or the stop flag was set. It
+// searches the clause database as AddClause left it; nothing is rewritten
+// beforehand.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	if s.unsat {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	// A search already stopped or out of time gives up before
-	// preprocessing, which on a large formula costs as much as many
-	// conflicts.
+	// A search already stopped or out of time gives up before its first
+	// propagation.
 	if s.interrupted() {
-		return Unknown
-	}
-	// Root-level preprocessing: whenever clauses were added since the last
-	// pass, simplify the database before entering the search loop. A pass
-	// that the stop flag or the deadline cut short leaves it dirty.
-	if s.dirty && !s.Simplify() {
-		return Unsat
-	}
-	if s.dirty {
 		return Unknown
 	}
 	restartIdx := int64(1)

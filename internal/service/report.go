@@ -115,24 +115,23 @@ type Witness struct {
 // StatsReport mirrors the engine counters of core.Stats that operators
 // care about, in JSON form.
 type StatsReport struct {
-	Resources         int     `json:"resources"`
-	Eliminated        int     `json:"eliminated"`
-	PrunedPaths       int     `json:"pruned_paths"`
-	Paths             int     `json:"paths"`
-	TotalPaths        int     `json:"total_paths"`
-	Sequences         int     `json:"sequences"`
-	Workers           int     `json:"workers"`
-	SemQueries        int     `json:"solver_queries"`
-	SemCacheHits      int     `json:"sem_cache_hits"`
-	SemCacheHitRate   float64 `json:"sem_cache_hit_rate"`
-	SolverReuses      int     `json:"solver_reuses"`
-	LearntRetained    int     `json:"learnt_retained"`
-	PreprocessRemoved int64   `json:"preprocess_removed"`
-	InternHits        int64   `json:"intern_hits"`
-	EncodeMemoHits    int64   `json:"encode_memo_hits"`
-	DiskCacheHits     int     `json:"disk_cache_hits"`
-	RemoteCacheHits   int     `json:"remote_cache_hits,omitempty"`
-	DurationMS        float64 `json:"duration_ms"`
+	Resources       int     `json:"resources"`
+	Eliminated      int     `json:"eliminated"`
+	PrunedPaths     int     `json:"pruned_paths"`
+	Paths           int     `json:"paths"`
+	TotalPaths      int     `json:"total_paths"`
+	Sequences       int     `json:"sequences"`
+	Workers         int     `json:"workers"`
+	SemQueries      int     `json:"solver_queries"`
+	SemCacheHits    int     `json:"sem_cache_hits"`
+	SemCacheHitRate float64 `json:"sem_cache_hit_rate"`
+	SolverReuses    int     `json:"solver_reuses"`
+	LearntRetained  int     `json:"learnt_retained"`
+	InternHits      int64   `json:"intern_hits"`
+	EncodeMemoHits  int64   `json:"encode_memo_hits"`
+	DiskCacheHits   int     `json:"disk_cache_hits"`
+	RemoteCacheHits int     `json:"remote_cache_hits,omitempty"`
+	DurationMS      float64 `json:"duration_ms"`
 
 	// Differential-verification counters, present only on jobs with a
 	// base manifest (see core.Stats for the semantics).
@@ -190,29 +189,28 @@ func witnessFromSym(cex *sym.Counterexample) *Witness {
 
 func statsJSON(s core.Stats) *StatsReport {
 	return &StatsReport{
-		Resources:         s.Resources,
-		Eliminated:        s.Eliminated,
-		PrunedPaths:       s.PrunedPaths,
-		Paths:             s.Paths,
-		TotalPaths:        s.TotalPaths,
-		Sequences:         s.Sequences,
-		Workers:           s.Workers,
-		SemQueries:        s.SemQueries,
-		SemCacheHits:      s.SemCacheHits,
-		SemCacheHitRate:   s.SemCacheHitRate(),
-		SolverReuses:      s.SolverReuses,
-		LearntRetained:    s.LearntRetained,
-		PreprocessRemoved: s.PreprocessRemoved,
-		InternHits:        s.InternHits,
-		EncodeMemoHits:    s.EncodeMemoHits,
-		DiskCacheHits:     s.DiskCacheHits,
-		RemoteCacheHits:   s.RemoteCacheHits,
-		DurationMS:        float64(s.Duration) / float64(time.Millisecond),
-		DiffChanged:       s.DiffChanged,
-		DiffUnchanged:     s.DiffUnchanged,
-		PairsReused:       s.PairsReused,
-		PairsReverified:   s.PairsReverified,
-		InheritMisses:     s.InheritMisses,
+		Resources:       s.Resources,
+		Eliminated:      s.Eliminated,
+		PrunedPaths:     s.PrunedPaths,
+		Paths:           s.Paths,
+		TotalPaths:      s.TotalPaths,
+		Sequences:       s.Sequences,
+		Workers:         s.Workers,
+		SemQueries:      s.SemQueries,
+		SemCacheHits:    s.SemCacheHits,
+		SemCacheHitRate: s.SemCacheHitRate(),
+		SolverReuses:    s.SolverReuses,
+		LearntRetained:  s.LearntRetained,
+		InternHits:      s.InternHits,
+		EncodeMemoHits:  s.EncodeMemoHits,
+		DiskCacheHits:   s.DiskCacheHits,
+		RemoteCacheHits: s.RemoteCacheHits,
+		DurationMS:      float64(s.Duration) / float64(time.Millisecond),
+		DiffChanged:     s.DiffChanged,
+		DiffUnchanged:   s.DiffUnchanged,
+		PairsReused:     s.PairsReused,
+		PairsReverified: s.PairsReverified,
+		InheritMisses:   s.InheritMisses,
 
 		SolverDecisions:    s.SolverDecisions,
 		SolverPropagations: s.SolverPropagations,

@@ -8,9 +8,9 @@ package smt
 //     Assert inside the scope adds clauses of the form (¬act ∨ C) and Check
 //     passes act as an extra assumption, so scoped constraints are live
 //     only while the scope is open.
-//   - Pop retires the scope: the activation literal is permanently negated
-//     (sat.ReleaseVar), which satisfies — and lets the next preprocessing
-//     pass physically delete — every clause the scope asserted. The term
+//   - Pop retires the scope with the unit clause ¬act, which satisfies
+//     every clause the scope asserted. Those clauses stay in the SAT
+//     database, inert: the solver has no pass that deletes them. The term
 //     DAG and the compile memo are NOT rolled back: terms interned in any
 //     scope stay compiled forever, because Tseitin definitional clauses
 //     only define fresh variables and are sound at any scope depth.
@@ -46,10 +46,9 @@ func (s *Solver) Push() {
 	s.scopes = append(s.scopes, scope{act: act, asserted: len(s.asserted)})
 }
 
-// Pop closes the innermost scope, retiring its assertions. Terms created in
-// the scope remain valid (and compiled); only the constraints go away. The
-// underlying activation variable is recycled by the solver's next
-// preprocessing pass.
+// Pop closes the innermost scope, retiring its assertions by asserting the
+// negation of its activation literal. Terms created in the scope remain
+// valid (and compiled); only the constraints go away.
 func (s *Solver) Pop() {
 	n := len(s.scopes)
 	if n == 0 {
@@ -62,19 +61,11 @@ func (s *Solver) Pop() {
 		s.dropped = 0 // the cut-short assertion left with the scope
 	}
 	s.lastStatus = sat.Unknown
-	s.sat.ReleaseVar(sc.act.Neg())
+	s.sat.AddClause(sc.act.Neg())
 }
 
 // ScopeDepth returns the number of open Push scopes.
 func (s *Solver) ScopeDepth() int { return len(s.scopes) }
-
-// Simplify runs the underlying solver's root-level preprocessing pass
-// immediately (Check also runs it lazily when clauses were added). Returns
-// false if the permanent constraints are unsatisfiable.
-func (s *Solver) Simplify() bool {
-	s.lastStatus = sat.Unknown
-	return s.sat.Simplify()
-}
 
 // LearntClauses returns the number of learnt clauses currently retained by
 // the underlying SAT solver.
@@ -83,7 +74,3 @@ func (s *Solver) LearntClauses() int { return s.sat.LearntClauses() }
 // ClearLearnts drops the retained learnt clauses, e.g. before reusing a
 // pooled solver for a very different query mix.
 func (s *Solver) ClearLearnts() { s.sat.ClearLearnts() }
-
-// SimplifyCounters returns the underlying solver's cumulative preprocessing
-// counters.
-func (s *Solver) SimplifyCounters() sat.SimplifyStats { return s.sat.SimplifyCounters() }

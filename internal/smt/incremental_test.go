@@ -180,13 +180,6 @@ func TestPushPopDifferential(t *testing.T) {
 			}
 			inc.Pop()
 		}
-		// Pops retire their activation variables; preprocessing recycles them.
-		if !inc.Simplify() {
-			t.Fatalf("trial %d: base became unsat after pops", trial)
-		}
-		if inc.SimplifyCounters().VarsRecycled == 0 {
-			t.Errorf("trial %d: no scope variables recycled", trial)
-		}
 	}
 }
 

@@ -21,6 +21,11 @@ package sym
 //
 // A Session is NOT safe for concurrent use; the parallel engine keeps one
 // session per worker (internal/core's solver pool).
+//
+// Each query's constraints live in one Push/Pop scope. Pop retires them
+// with a unit clause, so they stay in the solver's clause database,
+// satisfied and inert, for the session's lifetime; the learnt clauses
+// and the compiled terms are what later queries reuse.
 
 import (
 	"crypto/sha256"
@@ -56,12 +61,11 @@ func (v *Vocab) Digest() fs.Digest {
 
 // SessionStats counts the work a session has amortized.
 type SessionStats struct {
-	Queries        int64             // equivalence queries answered
-	ApplyHits      int64             // symbolic applications served by the memo
-	ApplyMisses    int64             // symbolic applications that walked a subtree
-	LearntRetained int               // learnt clauses currently live in the solver
-	Simplify       sat.SimplifyStats // cumulative preprocessing counters
-	Search         sat.Counters      // cumulative SAT search counters
+	Queries        int64        // equivalence queries answered
+	ApplyHits      int64        // symbolic applications served by the memo
+	ApplyMisses    int64        // symbolic applications that walked a subtree
+	LearntRetained int          // learnt clauses currently live in the solver
+	Search         sat.Counters // cumulative SAT search counters
 }
 
 // Session answers a stream of equivalence queries over one fixed vocabulary
@@ -91,7 +95,6 @@ func NewSession(v *Vocab) *Session {
 // Stats returns the session's counters.
 func (s *Session) Stats() SessionStats {
 	s.stats.LearntRetained = s.en.S.LearntClauses()
-	s.stats.Simplify = s.en.S.SimplifyCounters()
 	return s.stats
 }
 
