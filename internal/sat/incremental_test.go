@@ -5,17 +5,28 @@ import (
 	"testing"
 )
 
-// TestAddClauseNormalizesAtRoot: AddClause is the solver's only clause
-// cleanup. Against a root unit, a clause the unit satisfies is not stored
-// and a clause containing the unit's negation is stored without it.
-func TestAddClauseNormalizesAtRoot(t *testing.T) {
+// TestSimplifyRemovesSatisfied: root-level simplification is AddClause's
+// normalization, the solver's only clause cleanup. A clause that a root
+// unit satisfies is not stored.
+func TestSimplifyRemovesSatisfied(t *testing.T) {
 	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(PosLit(a))
 	s.AddClause(PosLit(a), PosLit(b)) // satisfied by the unit: dropped
 	if got := s.NumClauses(); got != 0 {
-		t.Fatalf("NumClauses after a root-satisfied clause = %d, want 0", got)
+		t.Errorf("NumClauses after a root-satisfied clause = %d, want 0", got)
 	}
+	if s.Solve() != Sat || !s.Value(a) {
+		t.Error("formula should stay sat with a true")
+	}
+}
+
+// TestSimplifyStrengthens: a clause that contains the negation of a root
+// unit is stored without that root-false literal.
+func TestSimplifyStrengthens(t *testing.T) {
+	s := New()
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(PosLit(a))
 	s.AddClause(NegLit(a), PosLit(b), PosLit(c)) // stored as (b ∨ c)
 	if got := s.NumClauses(); got != 1 {
 		t.Fatalf("NumClauses after a clause with a root-false literal = %d, want 1", got)
