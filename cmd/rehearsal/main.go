@@ -172,7 +172,7 @@ func run(args []string) int {
 	suggest := fl.Bool("suggest", false, "on non-determinism, search for missing dependencies that repair the manifest")
 	diffMode := fl.Bool("diff", false, "differential verification: with exactly two manifests, treat the first as the base version and re-verify only resource pairs whose compiled models changed, inheriting the rest from the (ideally warm, see -cache-dir) verdict caches")
 	parallel := fl.Int("parallel", 0, "worker count for solver queries and concurrent manifests (0 = number of CPUs)")
-	verbose := fl.Bool("v", false, "print analysis statistics")
+	verbose := fl.Bool("v", false, "print analysis statistics (sequences= counts the linearizations encoded: every order POR explores, or 2 when the first two orders already gave a replayed counterexample)")
 	stats := fl.Bool("stats", false, "print solver-backend statistics (solver reuses, learnt clauses retained, intern/encode-memo/disk-cache hits; with -diff, reused vs re-verified pair counts; with -cache-dir, disk hits/misses/corrupt entries)")
 	if err := fl.Parse(args); err != nil {
 		return 2

@@ -8,18 +8,23 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/fs"
 	"repro/internal/leakcheck"
 )
 
-// TestFleetCheckHonorsContext: a fleet-shaped manifest whose check runs
-// through elimination, the replay-failing fast path and into the exact
-// fallback's final solve stops within two seconds of its context ending,
-// with an error wrapping ErrCanceled, and leaves no goroutine behind.
+// TestFleetCheckHonorsContext: a check that runs unbounded for well over
+// three seconds — figure 13's worst case at n = 7, whose 5,040 orders
+// enumeration encodes and the final solve must prove equal (>15 s on a
+// 2-vCPU host) — stops within two seconds of its context ending, with an
+// error wrapping ErrCanceled, and leaves no goroutine behind. Fleet
+// manifests of every fault class are decided in well under a second, too
+// fast to cancel.
 func TestFleetCheckHonorsContext(t *testing.T) {
-	src := benchmarks.Fleet(400, benchmarks.FleetPkgConfig, 1)
+	src, provider := experiments.Fig13Manifest(7)
 	base := leakcheck.Take()
 	opts := core.DefaultOptions()
+	opts.Provider = provider
 	opts.Parallelism = 2
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

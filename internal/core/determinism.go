@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,7 @@ type Stats struct {
 	PrunedPaths int           // paths whose writes were pruned
 	TotalPaths  int           // modeled paths before analyses (fig. 11a "No")
 	Paths       int           // modeled paths after analyses (fig. 11a "Yes")
-	Sequences   int           // linearizations encoded after POR
+	Sequences   int           // linearizations encoded (2 when the first pair's probe ends the check)
 	Duration    time.Duration // wall-clock time of the check
 
 	// Workers is the worker-pool size semantic-commutativity queries ran
@@ -308,7 +309,40 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		en.S.Assert(en.WellFormed(input))
 	}
 
-	outs, orders, err := enumerate(wg, reach, en, input, opts, deadline, cc)
+	// The solver answers Unknown only once the check's deadline or context
+	// has ended.
+	interrupted := func() error {
+		if err := cc.err(); err != nil {
+			return err
+		}
+		return ErrTimeout
+	}
+	// The probe: when the second linearization arrives, ask whether the
+	// first two can differ, as an assumption so that an Unsat answer leaves
+	// the solver as it was. A witness that replays on the full graph ends
+	// the enumeration; otherwise the check goes on to the full disjunction.
+	var cex *Counterexample
+	probe := func(outs []*sym.State, orders [][]graph.Node) (bool, error) {
+		if len(outs) != 2 {
+			return false, nil
+		}
+		if finalDiffTestHook != nil {
+			finalDiffTestHook(1)
+		}
+		switch en.S.Check(en.StatesDiffer(outs[0], outs[1])) {
+		case sat.Unsat:
+			return false, nil
+		case sat.Unknown:
+			return false, interrupted()
+		}
+		in, err := en.ModelState(input)
+		if err != nil {
+			return false, err
+		}
+		cex = s.replay(wg, eliminated, in, orders[0], orders[1], opts.WellFormedInit)
+		return cex != nil, nil
+	}
+	outs, orders, err := enumerate(wg, reach, en, input, opts, deadline, cc, probe)
 	if err != nil {
 		return nil, err
 	}
@@ -340,6 +374,11 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		stats.SolverRestarts = co.Restarts
 	}
 
+	if cex != nil {
+		fillSearch()
+		stats.Duration = time.Since(start)
+		return &DeterminismResult{Deterministic: false, Counterexample: cex, Stats: stats}, nil
+	}
 	if len(outs) <= 1 {
 		// A single linearization after POR is deterministic by
 		// construction: every order was proven equivalent to it.
@@ -371,10 +410,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		stats.Duration = time.Since(start)
 		return &DeterminismResult{Deterministic: true, Stats: stats}, nil
 	case sat.Unknown:
-		if err := cc.err(); err != nil {
-			return nil, err
-		}
-		return nil, ErrTimeout
+		return nil, interrupted()
 	}
 	fillSearch()
 
@@ -395,19 +431,23 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		}
 	}
 
-	cex := s.replay(wg, eliminated, in, orders[0], orders[second], opts.WellFormedInit)
+	cex = s.replay(wg, eliminated, in, orders[0], orders[second], opts.WellFormedInit)
 	if cex != nil {
 		stats.Duration = time.Since(start)
 		return &DeterminismResult{Deterministic: false, Counterexample: cex, Stats: stats}, nil
 	}
 
-	// The distinguishing input did not replay on the full graph: the
-	// abstraction introduced by elimination/pruning was too coarse for
-	// this manifest. Fall back to the exact configuration (POR only).
+	// The distinguishing input did not replay on the full graph, not even
+	// after repair: the abstraction introduced by elimination/pruning was
+	// too coarse for this manifest. Fall back to the exact configuration
+	// (POR only).
 	exact := opts
 	exact.Elimination = false
 	exact.Pruning = false
 	if opts.Elimination || opts.Pruning {
+		if exactFallbackTestHook != nil {
+			exactFallbackTestHook()
+		}
 		res, err := s.checkDeterminism(exact, delta)
 		if err != nil {
 			return nil, err
@@ -450,24 +490,35 @@ func (s *System) poolVocab() *sym.Vocab {
 // elimination order) to the decoded input using the unpruned resource
 // models and the concrete evaluator. It returns nil when the outcomes do
 // not actually differ.
+//
+// An input that does not diverge on the full graph is repaired once: it is
+// shrunk against the two survivor orders alone and replayed again. The
+// solver's input is only constrained on the survivors, and state it holds
+// for no reason can make an eliminated resource error in both full orders,
+// masking the divergence (DESIGN "Replay-validated fast path").
 func (s *System) replay(wg *graph.Graph[*workNode], eliminated []*workNode, in fs.State, order1, order2 []graph.Node, keepWellFormed bool) *Counterexample {
-	build := func(order []graph.Node) ([]string, fs.Expr) {
+	build := func(order []graph.Node, elim []*workNode) ([]string, fs.Expr) {
 		var names []string
 		var exprs []fs.Expr
 		for _, n := range order {
 			names = append(names, wg.Label(n).name)
 			exprs = append(exprs, wg.Label(n).orig)
 		}
-		for i := len(eliminated) - 1; i >= 0; i-- {
-			names = append(names, eliminated[i].name)
-			exprs = append(exprs, eliminated[i].orig)
+		for i := len(elim) - 1; i >= 0; i-- {
+			names = append(names, elim[i].name)
+			exprs = append(exprs, elim[i].orig)
 		}
 		return names, fs.SeqAll(exprs...)
 	}
-	names1, e1 := build(order1)
-	names2, e2 := build(order2)
+	names1, e1 := build(order1, eliminated)
+	names2, e2 := build(order2, eliminated)
 	if !diverges(e1, e2, in) {
-		return nil
+		_, s1 := build(order1, nil)
+		_, s2 := build(order2, nil)
+		in = minimizeInput(s1, s2, in, keepWellFormed)
+		if !diverges(e1, e2, in) {
+			return nil
+		}
 	}
 	in = minimizeInput(e1, e2, in, keepWellFormed)
 	out1, ok1 := fs.Eval(e1, in)
@@ -712,17 +763,29 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (in
 	return pruned, internHits, nil
 }
 
+// finalDiffTestHook, when non-nil, runs before each disequality of the
+// final determinacy query is encoded, and before the probe's disequality
+// (with i = 1), with the index of the outcome compared against the first.
+// Tests use it to end a check's deadline or context at that point;
+// production never sets it.
+var finalDiffTestHook func(i int)
+
+// exactFallbackTestHook, when non-nil, runs when a check falls back to the
+// exact configuration. Tests use it to see that a witness was repaired
+// instead; production never sets it.
+var exactFallbackTestHook func()
+
+// errEnumDone unwinds enumerate's recursion once its visitor has what it
+// needs.
+var errEnumDone = errors.New("enumeration done")
+
 // enumerate explores the POR-reduced linearizations of wg, applying each
 // resource's model symbolically (ΦG of figures 7 and 9a). It returns the
 // symbolic output state and resource order of every explored
 // linearization. r is the reachability of the graph wg was induced from.
-// finalDiffTestHook, when non-nil, runs before each disequality of the
-// final determinacy query is encoded, with the index of the outcome
-// compared against the first. Tests use it to end a check's deadline or
-// context at that point; production never sets it.
-var finalDiffTestHook func(i int)
-
-func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, input *sym.State, opts Options, deadline time.Time, cc *commuteChecker) ([]*sym.State, [][]graph.Node, error) {
+// visit runs after each linearization is recorded, with everything
+// explored so far; when it answers true the exploration ends there.
+func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, input *sym.State, opts Options, deadline time.Time, cc *commuteChecker, visit func([]*sym.State, [][]graph.Node) (bool, error)) ([]*sym.State, [][]graph.Node, error) {
 	nodes := wg.Nodes()
 	idx := make(map[graph.Node]int, len(nodes))
 	for i, n := range nodes {
@@ -819,7 +882,11 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 			}
 			outs = append(outs, st)
 			orders = append(orders, append([]graph.Node(nil), order...))
-			return nil
+			done, err := visit(outs, orders)
+			if done {
+				return errEnumDone
+			}
+			return err
 		}
 		var ready []graph.Node
 		for _, n := range nodes {
@@ -889,7 +956,7 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 		}
 		return nil
 	}
-	if err := rec(input, nil); err != nil {
+	if err := rec(input, nil); err != nil && err != errEnumDone {
 		return nil, nil, err
 	}
 	return outs, orders, nil

@@ -144,3 +144,10 @@ func SetFinalDiffTestHook(f func(i int)) (restore func()) {
 	finalDiffTestHook = f
 	return func() { finalDiffTestHook = nil }
 }
+
+// SetExactFallbackTestHook installs f as the hook run when a check falls
+// back to the exact configuration; the returned func removes it.
+func SetExactFallbackTestHook(f func()) (restore func()) {
+	exactFallbackTestHook = f
+	return func() { exactFallbackTestHook = nil }
+}

@@ -113,7 +113,9 @@ type Witness struct {
 }
 
 // StatsReport mirrors the engine counters of core.Stats that operators
-// care about, in JSON form.
+// care about, in JSON form. sequences counts the linearizations encoded:
+// every order POR explores, or 2 when the first two orders already gave a
+// replayed counterexample.
 type StatsReport struct {
 	Resources       int     `json:"resources"`
 	Eliminated      int     `json:"eliminated"`
