@@ -409,40 +409,6 @@ func BenchmarkIncrementalSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkInterningSpeedup measures the hash-consed IR on the semantic-
-// commute-heavy workload at one worker: the Encode series compares plain
-// trees on fresh solvers (four subtree compilations per query)
-// against interned models on cold and warm memoized sessions, and the Disk
-// series compares a cold on-disk verdict store against a warm-started one
-// (the warm run must answer every query from disk — the experiment errors
-// otherwise). Per-mode wall times are reported as metrics; see
-// BENCH_interning.json for a recorded trajectory point (cmd/experiments
-// -interning-bench -interning-out BENCH_interning.json).
-func BenchmarkInterningSpeedup(b *testing.B) {
-	b.Run("Encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows, err := experiments.EncodeMemoSpeedup(5 * time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rows {
-				b.ReportMetric(r.Seconds, r.Mode+"-s")
-			}
-		}
-	})
-	b.Run("Disk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows, err := experiments.DiskCacheSpeedup(5 * time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rows {
-				b.ReportMetric(r.Seconds, r.Mode+"-s")
-			}
-		}
-	})
-}
-
 // BenchmarkDiffSpeedup measures differential verification on the
 // synthetic edit workload: a full determinacy check of the head version
 // from a cold cache versus core.VerifyDiff against a base warmed into a

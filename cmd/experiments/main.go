@@ -11,8 +11,6 @@
 //	                       parallel-engine speedup at 1/2/4/8 workers
 //	experiments -incremental-bench [-incremental-out BENCH_incremental.json]
 //	                       incremental-backend speedup: fresh vs pooled solvers
-//	experiments -interning-bench [-interning-out BENCH_interning.json]
-//	                       hash-consed IR: encode memoization + disk verdict tier
 //	experiments -diff-bench [-diff-out BENCH_diff.json]
 //	                       differential verification: full re-check vs digest diff
 //	experiments -cluster-bench [-cluster-out BENCH_cluster.json]
@@ -45,8 +43,6 @@ func main() {
 	parallelOut := flag.String("parallel-out", "", "write the parallel speedup results as a JSON trajectory point (e.g. BENCH_parallel.json)")
 	incrementalBench := flag.Bool("incremental-bench", false, "run the incremental-backend speedup experiment only")
 	incrementalOut := flag.String("incremental-out", "", "write the incremental speedup results as a JSON trajectory point (e.g. BENCH_incremental.json)")
-	interningBench := flag.Bool("interning-bench", false, "run the hash-consed-IR speedup experiment only")
-	interningOut := flag.String("interning-out", "", "write the interning speedup results as a JSON trajectory point (e.g. BENCH_interning.json)")
 	serviceBench := flag.Bool("service-bench", false, "run the rehearsald warm-substrate throughput experiment only")
 	serviceOut := flag.String("service-out", "", "write the service throughput results as a JSON trajectory point (e.g. BENCH_service.json)")
 	diffBench := flag.Bool("diff-bench", false, "run the differential-verification speedup experiment only")
@@ -91,8 +87,6 @@ func main() {
 		printParallel(*timeout, *parallelOut)
 	case *incrementalBench:
 		printIncremental(*timeout, *incrementalOut)
-	case *interningBench:
-		printInterning(*timeout, *interningOut)
 	case *serviceBench:
 		printService(*timeout, *serviceOut)
 	case *diffBench:
@@ -108,7 +102,6 @@ func main() {
 		printBugs(*timeout)
 		printParallel(*timeout, *parallelOut)
 		printIncremental(*timeout, *incrementalOut)
-		printInterning(*timeout, *interningOut)
 		printService(*timeout, *serviceOut)
 		printDiff(*timeout, *diffOut)
 		printCluster(*timeout, *clusterOut)
@@ -277,25 +270,6 @@ func printIncrementalTable(rep *experiments.IncrementalReport) {
 	}
 	fmt.Printf("pooled speedup over fresh: warm %.2fx, cold %.2fx\n\n",
 		rep.NativeWarmSpeedup, rep.NativeColdSpeedup)
-}
-
-func printInterning(timeout time.Duration, out string) {
-	runBench(timeout, time.Minute, out, experiments.BuildInterningReport, printInterningTable)
-}
-
-func printInterningTable(rep *experiments.InterningReport) {
-	fmt.Println("== Hash-consed IR: encode memoization + on-disk verdict tier ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-14s %12s %10s %12s %12s %10s\n",
-		"mode", "time", "queries", "intern-hits", "encode-memo", "disk-hits")
-	for _, r := range append(append([]experiments.InterningRow{}, rep.Encode...), rep.Disk...) {
-		fmt.Printf("%-14s %12s %10d %12d %12d %10d\n", r.Mode,
-			fmtTime(r.Time, r.TimedOut), r.Queries, r.InternHits, r.EncodeMemoHits, r.DiskCacheHits)
-	}
-	fmt.Printf("encode speedup over fresh-plain: cold %.2fx, warm %.2fx; disk warm-start speedup: %.2fx\n",
-		rep.EncodeColdSpeedup, rep.EncodeWarmSpeedup, rep.DiskWarmSpeedup)
-	fmt.Printf("digest micro-series: %d exprs x %d passes, plain %.4fs vs interned %.4fs (%.0fx)\n\n",
-		rep.Digest.Exprs, rep.Digest.Passes, rep.Digest.PlainSeconds, rep.Digest.InternedSeconds, rep.Digest.Speedup)
 }
 
 func printService(timeout time.Duration, out string) {

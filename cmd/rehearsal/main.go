@@ -173,7 +173,7 @@ func run(args []string) int {
 	diffMode := fl.Bool("diff", false, "differential verification: with exactly two manifests, treat the first as the base version and re-verify only resource pairs whose compiled models changed, inheriting the rest from the (ideally warm, see -cache-dir) verdict caches")
 	parallel := fl.Int("parallel", 0, "worker count for solver queries and concurrent manifests (0 = number of CPUs)")
 	verbose := fl.Bool("v", false, "print analysis statistics (sequences= counts the linearizations encoded: every order POR explores, or 2 when the first two orders already gave a replayed counterexample)")
-	stats := fl.Bool("stats", false, "print solver-backend statistics (solver reuses, learnt clauses retained, intern/encode-memo/disk-cache hits; with -diff, reused vs re-verified pair counts; with -cache-dir, disk hits/misses/corrupt entries)")
+	stats := fl.Bool("stats", false, "print solver-backend statistics (solver reuses, learnt clauses retained, encode-memo/disk-cache hits; with -diff, reused vs re-verified pair counts; with -cache-dir, disk hits/misses/corrupt entries)")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -404,8 +404,8 @@ func verifyOne(w, ew io.Writer, path, src string, opts options) int {
 		// clean for verdicts (and pipelines scraping them).
 		fmt.Fprintf(ew, "  solver-queries=%d solver-reuses=%d learnt-retained=%d\n",
 			res.Stats.SemQueries, res.Stats.SolverReuses, res.Stats.LearntRetained)
-		fmt.Fprintf(ew, "  intern-hits=%d encode-memo-hits=%d disk-cache-hits=%d\n",
-			res.Stats.InternHits, res.Stats.EncodeMemoHits, res.Stats.DiskCacheHits)
+		fmt.Fprintf(ew, "  encode-memo-hits=%d disk-cache-hits=%d\n",
+			res.Stats.EncodeMemoHits, res.Stats.DiskCacheHits)
 		fmt.Fprintf(ew, "  decisions=%d propagations=%d conflicts=%d restarts=%d\n",
 			res.Stats.SolverDecisions, res.Stats.SolverPropagations,
 			res.Stats.SolverConflicts, res.Stats.SolverRestarts)

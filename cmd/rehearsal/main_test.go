@@ -548,10 +548,14 @@ func TestDiffMode(t *testing.T) {
 		}
 	}
 
-	// The diff verdict must match an independent full verification of head.
+	// The diff run's report must be byte-identical to an independent full
+	// verification of head.
 	code, fullOut := runCapture(t, "-semantic-commute", "-skip-idempotence", head)
 	if code != 0 || !strings.Contains(fullOut, "determinism: OK") {
 		t.Fatalf("full head run: exit %d:\n%s", code, fullOut)
+	}
+	if out != fullOut {
+		t.Errorf("diff run stdout differs from the full head run:\ndiff:\n%s\nfull:\n%s", out, fullOut)
 	}
 }
 

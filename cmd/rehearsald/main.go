@@ -1,9 +1,9 @@
 // Command rehearsald is the long-running verification daemon: it accepts
 // manifest-analysis jobs over HTTP/JSON and runs them on a bounded worker
 // pool that shares one warm substrate — pooled incremental solvers, the
-// hash-consed interner, the in-memory verdict cache and (with -cache-dir)
-// its on-disk tier — so repeated and overlapping manifests verify far
-// faster than one-shot CLI runs.
+// in-memory verdict cache and (with -cache-dir) its on-disk tier — so
+// repeated and overlapping manifests verify far faster than one-shot CLI
+// runs.
 //
 // Usage:
 //

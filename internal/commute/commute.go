@@ -15,11 +15,7 @@
 // many orders. Two D effects on the same path commute.
 package commute
 
-import (
-	"sync"
-
-	"repro/internal/fs"
-)
+import "repro/internal/fs"
 
 // Effect is the abstract value of a path.
 type Effect uint8
@@ -102,55 +98,8 @@ func (s *Summary) Touches(p fs.Path) bool {
 	return s.childObs.Has(p.Parent())
 }
 
-// Summaries of hash-consed expressions are memoized process-wide by node
-// identity: re-analyzing an interned model (re-checks of the same manifest,
-// the exact-configuration fallback, fleets sharing resource models) is a
-// map lookup. Safe because an interned node is immutable and a Summary is
-// immutable after Analyze returns. Bounded by clearing on overflow.
-var (
-	analyzeMu     sync.Mutex
-	analyzeMemo   = make(map[*fs.HExpr]*Summary)
-	analyzeHits   int64
-	analyzeMisses int64
-)
-
-const analyzeMemoCap = 1 << 16
-
-// AnalyzeMemoStats returns the cumulative hit/miss counters of the
-// interned-summary memo (hits = Analyze calls answered without
-// re-traversal).
-func AnalyzeMemoStats() (hits, misses int64) {
-	analyzeMu.Lock()
-	defer analyzeMu.Unlock()
-	return analyzeHits, analyzeMisses
-}
-
 // Analyze computes the abstract effect summary of e ([e]C ⊥ in figure 9b).
-// Interned expressions are summarized once per canonical node.
 func Analyze(e fs.Expr) *Summary {
-	h, ok := e.(*fs.HExpr)
-	if !ok {
-		return analyze(e)
-	}
-	analyzeMu.Lock()
-	if s, ok := analyzeMemo[h]; ok {
-		analyzeHits++
-		analyzeMu.Unlock()
-		return s
-	}
-	analyzeMu.Unlock()
-	s := analyze(e)
-	analyzeMu.Lock()
-	if len(analyzeMemo) >= analyzeMemoCap {
-		analyzeMemo = make(map[*fs.HExpr]*Summary)
-	}
-	analyzeMemo[h] = s
-	analyzeMisses++
-	analyzeMu.Unlock()
-	return s
-}
-
-func analyze(e fs.Expr) *Summary {
 	a := &analyzer{
 		sum:  &Summary{paths: make(map[fs.Path]Effect), childObs: make(fs.PathSet)},
 		defD: make(fs.PathSet),
@@ -207,7 +156,7 @@ func (a *analyzer) ensureDir(p fs.Path) {
 }
 
 func (a *analyzer) pred(pr fs.Pred) {
-	switch pr := fs.UnwrapPred(pr).(type) {
+	switch pr := pr.(type) {
 	case fs.Not:
 		a.pred(pr.P)
 	case fs.And:
@@ -234,7 +183,7 @@ func (a *analyzer) expr(e fs.Expr) {
 		a.ensureDir(p)
 		return
 	}
-	switch e := fs.Unwrap(e).(type) {
+	switch e := e.(type) {
 	case fs.Id, fs.Err:
 		// no effect
 	case fs.Mkdir:
@@ -283,14 +232,14 @@ func (a *analyzer) expr(e fs.Expr) {
 //	if (dir?(p)) id else mkdir(p)
 //	if (none?(p)) mkdir(p) else if (file?(p)) err else id
 func GuardedMkdirPath(e fs.Expr) (fs.Path, bool) {
-	iff, ok := fs.Unwrap(e).(fs.If)
+	iff, ok := e.(fs.If)
 	if !ok {
 		return "", false
 	}
-	isId := func(x fs.Expr) bool { _, ok := fs.Unwrap(x).(fs.Id); return ok }
-	isErr := func(x fs.Expr) bool { _, ok := fs.Unwrap(x).(fs.Err); return ok }
+	isId := func(x fs.Expr) bool { _, ok := x.(fs.Id); return ok }
+	isErr := func(x fs.Expr) bool { _, ok := x.(fs.Err); return ok }
 	mkdirOf := func(x fs.Expr) (fs.Path, bool) {
-		m, ok := fs.Unwrap(x).(fs.Mkdir)
+		m, ok := x.(fs.Mkdir)
 		if !ok {
 			return "", false
 		}
@@ -298,24 +247,24 @@ func GuardedMkdirPath(e fs.Expr) (fs.Path, bool) {
 	}
 
 	// if (¬dir?(p)) mkdir(p) else id
-	if n, ok := fs.UnwrapPred(iff.A).(fs.Not); ok {
-		if d, ok := fs.UnwrapPred(n.P).(fs.IsDir); ok && isId(iff.Else) {
+	if n, ok := iff.A.(fs.Not); ok {
+		if d, ok := n.P.(fs.IsDir); ok && isId(iff.Else) {
 			if p, ok := mkdirOf(iff.Then); ok && p == d.Path {
 				return p, true
 			}
 		}
 	}
 	// if (dir?(p)) id else mkdir(p)
-	if d, ok := fs.UnwrapPred(iff.A).(fs.IsDir); ok && isId(iff.Then) {
+	if d, ok := iff.A.(fs.IsDir); ok && isId(iff.Then) {
 		if p, ok := mkdirOf(iff.Else); ok && p == d.Path {
 			return p, true
 		}
 	}
 	// if (none?(p)) mkdir(p) else if (file?(p)) err else id
-	if nn, ok := fs.UnwrapPred(iff.A).(fs.IsNone); ok {
+	if nn, ok := iff.A.(fs.IsNone); ok {
 		if p, ok := mkdirOf(iff.Then); ok && p == nn.Path {
-			if inner, ok := fs.Unwrap(iff.Else).(fs.If); ok {
-				if f, ok := fs.UnwrapPred(inner.A).(fs.IsFile); ok && f.Path == p &&
+			if inner, ok := iff.Else.(fs.If); ok {
+				if f, ok := inner.A.(fs.IsFile); ok && f.Path == p &&
 					isErr(inner.Then) && isId(inner.Else) {
 					return p, true
 				}

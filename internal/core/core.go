@@ -111,11 +111,6 @@ type Options struct {
 	// versioned by the digest/encoder/solver scheme and bounded by a byte
 	// budget; empty (production default) keeps the cache memory-only.
 	CacheDir string
-	// DisableInterning compiles resource models as plain trees instead of
-	// hash-consed canonical nodes. Interning is semantics-preserving (the
-	// differential tests pin verdicts to this baseline); the knob exists
-	// for those tests and for the interning benchmark.
-	DisableInterning bool
 }
 
 // DefaultOptions enables every analysis, matching the configuration the
@@ -189,13 +184,6 @@ type System struct {
 	Catalog *puppet.Catalog
 	opts    Options
 	g       *graph.Graph[*node]
-
-	// Hash-consing counters from compilation: hits are structurally
-	// repeated subtrees (across this system's resources and any manifest
-	// loaded earlier in the process) that were shared instead of
-	// reallocated.
-	internHits   int64
-	internMisses int64
 }
 
 // Load parses, evaluates and compiles a manifest.
@@ -240,7 +228,6 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 	g := graph.New[*node]()
 	byKey := make(map[string]graph.Node, len(realized))
 	byRes := make(map[*puppet.Resource]graph.Node, len(realized))
-	var internHits, internMisses int64
 	for _, r := range realized {
 		if err := canceled(); err != nil {
 			return nil, err
@@ -249,19 +236,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		var model fs.Expr = expr
-		if !opts.DisableInterning {
-			// Canonicalize the model: resources sharing package dependency
-			// closures (the dominant cost, section 3.2) collapse to shared
-			// subtrees, and every downstream layer — digests, the symbolic
-			// encoder's apply memo, the commutativity and pruning analyses —
-			// keys off node identity instead of re-walking the tree.
-			h, st := fs.InternWithStats(expr)
-			model = h
-			internHits += st.Hits
-			internMisses += st.Misses
-		}
-		n := g.Add(&node{res: r, expr: model, orig: model, sum: commute.Analyze(model)})
+		n := g.Add(&node{res: r, expr: expr, orig: expr, sum: commute.Analyze(expr)})
 		byKey[r.Key()] = n
 		byRes[r] = n
 	}
@@ -391,7 +366,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 	if err := g.CheckAcyclic(); err != nil {
 		return nil, describeCycle(g)
 	}
-	return &System{Catalog: cat, opts: opts, g: g, internHits: internHits, internMisses: internMisses}, nil
+	return &System{Catalog: cat, opts: opts, g: g}, nil
 }
 
 // CycleError reports that the manifest's dependencies form a cycle (the

@@ -57,10 +57,8 @@ type Stats struct {
 	// queries inherit instead of rediscovering.
 	LearntRetained int
 
-	// InternHits counts hash-consing table hits while compiling and
-	// re-compiling this system's resource models — structurally repeated
-	// subtrees shared instead of reallocated (0 with
-	// Options.DisableInterning).
+	// InternHits is always 0. Expressions are plain trees with no
+	// hash-consing; the field stays because the benchmark harness reads it.
 	InternHits int64
 	// EncodeMemoHits counts symbolic applications the check's pooled
 	// sessions answered from their subtree memos instead of re-encoding.
@@ -221,7 +219,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	cc := newCommuteChecker(opts)
 	cc.diffAware = delta != nil
 	defer cc.cancel() // release the derived context on every exit path
-	stats := Stats{Resources: s.g.Len(), TotalPaths: s.TotalPaths(), Workers: cc.workers, InternHits: s.internHits}
+	stats := Stats{Resources: s.g.Len(), TotalPaths: s.TotalPaths(), Workers: cc.workers}
 	if delta != nil {
 		stats.DiffChanged = len(delta.Changed) + len(delta.Added)
 		stats.DiffUnchanged = len(delta.Unchanged)
@@ -274,12 +272,11 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	// Step 2 (section 4.4): prune definitive writes to paths that only a
 	// single resource touches.
 	if opts.Pruning {
-		pruned, reinternHits, err := pruneGraph(wg, !opts.DisableInterning, cc)
+		pruned, err := pruneGraph(wg, cc)
 		if err != nil {
 			return nil, err
 		}
 		stats.PrunedPaths = pruned
-		stats.InternHits += reinternHits
 	}
 
 	// Step 3 (sections 4.1–4.3): encode all POR-reduced linearizations
@@ -691,10 +688,8 @@ func eliminate(g *graph.Graph[*node], work []*workNode, r *graph.Reach, cc *comm
 }
 
 // pruneGraph prunes, for every resource, the definitive writes to paths no
-// other resource touches. Returns the number of pruned paths and, when
-// intern is set, the hash-consing hits from re-canonicalizing the rebuilt
-// models (pruning shrinks trees, so most subtrees are already canonical).
-func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (int, int64, error) {
+// other resource touches. Returns the number of pruned paths.
+func pruneGraph(wg *graph.Graph[*workNode], cc *commuteChecker) (int, error) {
 	nodes := wg.Nodes()
 	// Count how many resources touch each path, and how many observe each
 	// directory's child-set.
@@ -710,10 +705,9 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (in
 		}
 	}
 	pruned := 0
-	var internHits int64
 	for _, n := range nodes {
 		if err := cc.err(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		wn := wg.Label(n)
 		defs := prune.DefinitiveWrites(wn.expr)
@@ -744,11 +738,6 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (in
 			changed = true
 		}
 		if changed {
-			if intern {
-				h, st := fs.InternWithStats(expr)
-				expr = h
-				internHits += st.Hits
-			}
 			sum := commute.Analyze(expr)
 			// Later resources see this one's pruned child-set observations.
 			for d := range wn.sum.ChildObserved() {
@@ -760,7 +749,7 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool, cc *commuteChecker) (in
 			wg.SetLabel(n, &workNode{name: wn.name, expr: expr, orig: wn.orig, sum: sum, unchanged: wn.unchanged})
 		}
 	}
-	return pruned, internHits, nil
+	return pruned, nil
 }
 
 // finalDiffTestHook, when non-nil, runs before each disequality of the

@@ -158,3 +158,34 @@ package {'amavisd-new': ensure => present }
 			res.Stats.SolverReuses, res.Stats.LearntRetained)
 	}
 }
+
+// TestEncodeMemoStats: on a manifest whose resources share dependency
+// closures, the pooled sessions' encode memo must be visible in the check
+// stats, and no disk tier is consulted without a cache directory.
+func TestEncodeMemoStats(t *testing.T) {
+	core.ResetSolverPools()
+	opts := core.DefaultOptions()
+	opts.SemanticCommute = true
+	opts.Parallelism = 1
+	opts.Timeout = 2 * time.Minute
+	opts.SharedQueryCache = qcache.New()
+	src := `
+package {'git': ensure => present }
+package {'amavisd-new': ensure => present }
+package {'spamassassin': ensure => present }
+`
+	s, err := core.Load(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.CheckDeterminism()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SemQueries >= 2 && res.Stats.EncodeMemoHits == 0 {
+		t.Errorf("%d semantic queries at 1 worker but no encode-memo hits", res.Stats.SemQueries)
+	}
+	if res.Stats.DiskCacheHits != 0 {
+		t.Errorf("DiskCacheHits = %d without CacheDir", res.Stats.DiskCacheHits)
+	}
+}

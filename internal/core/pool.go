@@ -34,7 +34,12 @@ func (p *sessionPool) acquire() (*sym.Session, bool) {
 	return sym.NewSession(p.vocab), true
 }
 
+// release parks s for the next worker, or drops it once it has answered
+// sym.SessionQueryCap queries, so a later acquire starts a fresh session.
 func (p *sessionPool) release(s *sym.Session) {
+	if s.Stats().Queries >= sym.SessionQueryCap {
+		return
+	}
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.mu.Unlock()
@@ -42,8 +47,9 @@ func (p *sessionPool) release(s *sym.Session) {
 
 // applyHits sums the parked sessions' apply-memo hits — symbolic
 // applications answered without walking a subtree. Like snapshot, it only
-// sees sessions parked at call time; internal/core reads before/after
-// deltas around a check, so the figure is approximate under concurrency.
+// sees sessions parked at call time, and a retired session's hits leave
+// the sum; internal/core reads before/after deltas around a check, so the
+// figure is approximate.
 func (p *sessionPool) applyHits() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

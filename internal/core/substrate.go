@@ -5,8 +5,7 @@ package core
 // semantic-commutativity verdict cache (with its optional on-disk tier),
 // the package-listing provider with its in-memory listings, negative cache
 // and circuit breaker, and — by virtue of being process-wide already — the
-// incremental solver-pool registry (pool.go) and the hash-consing interner
-// (internal/fs). A one-shot CLI run pays all of these cold on every
+// incremental solver-pool registry (pool.go). A one-shot CLI run pays all of these cold on every
 // invocation; a daemon builds one Substrate at boot and binds every job's
 // Options to it, so the ten-thousandth request starts as warm as the
 // second.

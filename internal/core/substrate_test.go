@@ -2,8 +2,8 @@ package core_test
 
 // Differential tests of the shared substrate: verdicts produced by many
 // goroutines through one warm Substrate must be identical to fresh
-// single-shot runs — the contract that lets rehearsald share solver pools,
-// the interner and the verdict cache across concurrent jobs. Run with
+// single-shot runs — the contract that lets rehearsald share solver pools
+// and the verdict cache across concurrent jobs. Run with
 // -race; the scheduler in internal/service leans entirely on this.
 
 import (

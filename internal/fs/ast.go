@@ -120,10 +120,10 @@ func (If) isExpr()    {}
 func SeqAll(exprs ...Expr) Expr {
 	var out Expr = Id{}
 	for _, e := range exprs {
-		if _, ok := Unwrap(e).(Id); ok {
+		if _, ok := e.(Id); ok {
 			continue
 		}
-		if _, ok := Unwrap(out).(Id); ok {
+		if _, ok := out.(Id); ok {
 			out = e
 		} else {
 			out = Seq{out, e}
@@ -145,7 +145,7 @@ func MkdirIfMissing(p Path) Expr {
 
 // Size returns the number of AST nodes in e; used for reporting and tests.
 func Size(e Expr) int {
-	switch e := Unwrap(e).(type) {
+	switch e := e.(type) {
 	case Seq:
 		return 1 + Size(e.E1) + Size(e.E2)
 	case If:
@@ -156,7 +156,7 @@ func Size(e Expr) int {
 }
 
 func predSize(a Pred) int {
-	switch a := UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case Not:
 		return 1 + predSize(a.P)
 	case And:
@@ -176,7 +176,7 @@ func PredPaths(a Pred) PathSet {
 }
 
 func addPredPaths(a Pred, s PathSet) {
-	switch a := UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case Not:
 		addPredPaths(a.P, s)
 	case And:
@@ -204,7 +204,7 @@ func ExprPaths(e Expr) PathSet {
 }
 
 func addExprPaths(e Expr, s PathSet) {
-	switch e := Unwrap(e).(type) {
+	switch e := e.(type) {
 	case Mkdir:
 		s.Add(e.Path)
 	case Creat:
@@ -234,7 +234,7 @@ func Contents(e Expr) map[string]struct{} {
 }
 
 func addContents(e Expr, s map[string]struct{}) {
-	switch e := Unwrap(e).(type) {
+	switch e := e.(type) {
 	case Creat:
 		s[e.Content] = struct{}{}
 	case Seq:
@@ -258,7 +258,7 @@ func Dom(e Expr) PathSet {
 }
 
 func addDom(e Expr, s PathSet) {
-	switch e := Unwrap(e).(type) {
+	switch e := e.(type) {
 	case Mkdir:
 		s.Add(e.Path)
 		addParent(e.Path, s)
@@ -283,7 +283,7 @@ func addDom(e Expr, s PathSet) {
 }
 
 func addPredDom(a Pred, s PathSet) {
-	switch a := UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case Not:
 		addPredDom(a.P, s)
 	case And:

@@ -14,15 +14,9 @@ type Digest [sha256.Size]byte
 
 // DigestExpr computes the canonical digest of e. The scheme is a Merkle
 // hash: a leaf digests its type tag and length-prefixed strings, an
-// interior node digests its tag followed by its children's digests. The
-// composition makes digests independent of sharing — an interned tree and
-// the equivalent plain tree hash identically — and lets hash-consed nodes
-// answer in O(1) from the digest stamped at construction (the fast path
-// below and in the Interner, which folds cached child digests).
+// interior node digests its tag followed by its children's digests, so
+// digests are independent of how subtrees are shared.
 func DigestExpr(e Expr) Digest {
-	if h, ok := e.(*HExpr); ok {
-		return h.dig
-	}
 	h := sha256.New()
 	switch e := e.(type) {
 	case Id:
@@ -64,9 +58,6 @@ func DigestExpr(e Expr) Digest {
 // Merkle scheme (the tag space is shared with expressions, so expression
 // and predicate digests can never collide structurally).
 func DigestPred(a Pred) Digest {
-	if h, ok := a.(*HPred); ok {
-		return h.dig
-	}
 	h := sha256.New()
 	switch a := a.(type) {
 	case True:

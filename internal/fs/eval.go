@@ -113,7 +113,7 @@ func (s State) Paths() []Path {
 
 // EvalPred evaluates a predicate on a state per figure 5.
 func EvalPred(a Pred, s State) bool {
-	switch a := UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case True:
 		return true
 	case False:
@@ -146,7 +146,7 @@ func Eval(e Expr, s State) (State, bool) {
 
 // evalIn evaluates with an owned, mutable state.
 func evalIn(e Expr, s State) (State, bool) {
-	switch e := Unwrap(e).(type) {
+	switch e := e.(type) {
 	case Id:
 		return s, true
 	case Err:

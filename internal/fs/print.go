@@ -13,7 +13,7 @@ func PredString(a Pred) string {
 }
 
 func writePred(b *strings.Builder, a Pred, paren bool) {
-	switch a := UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case True:
 		b.WriteString("true")
 	case False:
@@ -62,7 +62,7 @@ func String(e Expr) string {
 }
 
 func writeExpr(b *strings.Builder, e Expr) {
-	switch e := Unwrap(e).(type) {
+	switch e := e.(type) {
 	case Id:
 		b.WriteString("id")
 	case Err:
@@ -85,7 +85,7 @@ func writeExpr(b *strings.Builder, e Expr) {
 		b.WriteString(") {")
 		writeExpr(b, e.Then)
 		b.WriteString("}")
-		if _, isId := Unwrap(e.Else).(Id); !isId {
+		if _, isId := e.Else.(Id); !isId {
 			b.WriteString(" else {")
 			writeExpr(b, e.Else)
 			b.WriteString("}")

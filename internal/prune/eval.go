@@ -59,7 +59,7 @@ const (
 // pred partially evaluates a predicate with respect to the pruned path,
 // returning a residual predicate and, when fully determined, its value.
 func (pr *pruner) pred(a fs.Pred, t tracked) (fs.Pred, boolOrUnknown) {
-	switch a := fs.UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case fs.True:
 		return a, tvTrue
 	case fs.False:
@@ -176,7 +176,7 @@ func (pr *pruner) require(t tracked) tracked {
 // preGuard wraps the residual precondition of a dropped write: the
 // original operation errored unless cond held.
 func preGuard(cond fs.Pred) fs.Expr {
-	if _, ok := fs.UnwrapPred(cond).(fs.True); ok {
+	if _, ok := cond.(fs.True); ok {
 		return fs.Id{}
 	}
 	return fs.If{A: cond, Then: fs.Id{}, Else: fs.Err{}}
@@ -188,7 +188,7 @@ func (pr *pruner) expr(e fs.Expr, t tracked) (fs.Expr, tracked) {
 	if pr.abort {
 		return fs.Id{}, t
 	}
-	switch e := fs.Unwrap(e).(type) {
+	switch e := e.(type) {
 	case fs.Id, fs.Err:
 		return e, t
 	case fs.Mkdir:
@@ -349,10 +349,10 @@ func (pr *pruner) expr(e fs.Expr, t tracked) (fs.Expr, tracked) {
 // joinTracked merges branch tracking states. Branches that are literally
 // err contribute nothing (their final state is unobservable).
 func joinTracked(thenE fs.Expr, thenT tracked, elseE fs.Expr, elseT tracked) tracked {
-	if _, ok := fs.Unwrap(thenE).(fs.Err); ok {
+	if _, ok := thenE.(fs.Err); ok {
 		return elseT
 	}
-	if _, ok := fs.Unwrap(elseE).(fs.Err); ok {
+	if _, ok := elseE.(fs.Err); ok {
 		return thenT
 	}
 	if thenT.kind == elseT.kind {

@@ -11,8 +11,6 @@
 package prune
 
 import (
-	"sync"
-
 	"repro/internal/commute"
 	"repro/internal/fs"
 )
@@ -74,56 +72,15 @@ func joinAbs(a, b AbsValue) AbsValue {
 	return AbsValue{Kind: AbsTop}
 }
 
-// Definitive-write maps of hash-consed expressions are memoized
-// process-wide by node identity (same scheme as commute's summary memo);
-// callers receive a private clone, so the cached map is never aliased.
-var (
-	defMu     sync.Mutex
-	defMemo   = make(map[*fs.HExpr]map[fs.Path]AbsValue)
-	defHits   int64
-	defMisses int64
-)
-
-const definitiveMemoCap = 1 << 16
-
-// DefinitiveMemoStats returns the cumulative hit/miss counters of the
-// interned definitive-writes memo.
-func DefinitiveMemoStats() (hits, misses int64) {
-	defMu.Lock()
-	defer defMu.Unlock()
-	return defHits, defMisses
-}
-
 // DefinitiveWrites computes ĴeK⊥ (figure 10b): for every path the
 // expression writes, the abstract value characterizing its state on every
 // successful run. Paths the expression never writes are absent (⊥).
 // Control-flow branches that definitely error are excluded, since their
-// final states are unobservable. Interned expressions are interpreted once
-// per canonical node.
+// final states are unobservable.
 func DefinitiveWrites(e fs.Expr) map[fs.Path]AbsValue {
-	h, ok := e.(*fs.HExpr)
-	if !ok {
-		state := make(map[fs.Path]AbsValue)
-		definitive(e, state)
-		return state
-	}
-	defMu.Lock()
-	if m, ok := defMemo[h]; ok {
-		defHits++
-		defMu.Unlock()
-		return cloneAbs(m)
-	}
-	defMu.Unlock()
 	state := make(map[fs.Path]AbsValue)
 	definitive(e, state)
-	defMu.Lock()
-	if len(defMemo) >= definitiveMemoCap {
-		defMemo = make(map[*fs.HExpr]map[fs.Path]AbsValue)
-	}
-	defMemo[h] = state
-	defMisses++
-	defMu.Unlock()
-	return cloneAbs(state)
+	return state
 }
 
 // definitive interprets e over state, returning whether e definitely
@@ -136,7 +93,7 @@ func definitive(e fs.Expr, state map[fs.Path]AbsValue) bool {
 		state[p] = AbsValue{Kind: AbsDir}
 		return false
 	}
-	switch e := fs.Unwrap(e).(type) {
+	switch e := e.(type) {
 	case fs.Id:
 		return false
 	case fs.Err:

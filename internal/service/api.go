@@ -1,8 +1,8 @@
 // Package service is rehearsald: a long-running verification service that
 // accepts manifest-analysis jobs over HTTP/JSON and runs them on a bounded
 // worker pool sharing one warm core.Substrate — pooled incremental
-// solvers, the hash-consed interner, the in-memory verdict cache and its
-// on-disk tier all amortize across requests, which is exactly the per-run
+// solvers, the in-memory verdict cache and its on-disk tier all amortize
+// across requests, which is exactly the per-run
 // setup cost that makes one-shot CLI verification too slow for CI.
 //
 // The service layer adds what a multi-tenant daemon needs and the CLI

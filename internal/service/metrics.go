@@ -115,7 +115,6 @@ type metrics struct {
 	diskCacheHits   atomic.Int64
 	remoteCacheHits atomic.Int64
 	solverReuses    atomic.Int64
-	internHits      atomic.Int64
 
 	// SAT search counters summed over every query the engine issued.
 	solverDecisions    atomic.Int64
@@ -145,7 +144,6 @@ func (m *metrics) absorb(rep *Report) {
 		m.diskCacheHits.Add(int64(rep.Stats.DiskCacheHits))
 		m.remoteCacheHits.Add(int64(rep.Stats.RemoteCacheHits))
 		m.solverReuses.Add(int64(rep.Stats.SolverReuses))
-		m.internHits.Add(rep.Stats.InternHits)
 		m.solverDecisions.Add(rep.Stats.SolverDecisions)
 		m.solverPropagations.Add(rep.Stats.SolverPropagations)
 		m.solverConflicts.Add(rep.Stats.SolverConflicts)
@@ -187,7 +185,6 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap, workers int, ready bo
 	p("rehearsald_disk_cache_hits_total %d", m.diskCacheHits.Load())
 	p("rehearsald_remote_cache_hits_total %d", m.remoteCacheHits.Load())
 	p("rehearsald_solver_reuses_total %d", m.solverReuses.Load())
-	p("rehearsald_intern_hits_total %d", m.internHits.Load())
 	p("rehearsald_solver_decisions_total %d", m.solverDecisions.Load())
 	p("rehearsald_solver_propagations_total %d", m.solverPropagations.Load())
 	p("rehearsald_solver_conflicts_total %d", m.solverConflicts.Load())

@@ -129,7 +129,7 @@ type StatsReport struct {
 	SemCacheHitRate float64 `json:"sem_cache_hit_rate"`
 	SolverReuses    int     `json:"solver_reuses"`
 	LearntRetained  int     `json:"learnt_retained"`
-	InternHits      int64   `json:"intern_hits"`
+	InternHits      int64   `json:"intern_hits"` // always 0: expressions are not hash-consed
 	EncodeMemoHits  int64   `json:"encode_memo_hits"`
 	DiskCacheHits   int     `json:"disk_cache_hits"`
 	RemoteCacheHits int     `json:"remote_cache_hits,omitempty"`

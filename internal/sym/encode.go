@@ -155,7 +155,7 @@ func (en *Encoder) isEmptyDir(st *State, p fs.Path) smt.T {
 
 // Pred encodes predicate a over st (encPred in figure 7).
 func (en *Encoder) Pred(a fs.Pred, st *State) smt.T {
-	switch a := fs.UnwrapPred(a).(type) {
+	switch a := a.(type) {
 	case fs.True:
 		return smt.TrueT
 	case fs.False:
@@ -188,7 +188,7 @@ func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 	if en.S.Interrupted() {
 		return st
 	}
-	switch e := fs.Unwrap(e).(type) {
+	switch e := e.(type) {
 	case fs.Id:
 		return st
 	case fs.Err:

@@ -71,11 +71,10 @@ type SessionStats struct {
 // Session answers a stream of equivalence queries over one fixed vocabulary
 // with a single long-lived encoder and solver.
 type Session struct {
-	en        *Encoder
-	input     *State
-	apply     map[fs.Digest]*State // DigestExpr(e) -> Apply(e, input), plain trees
-	applyNode map[*fs.HExpr]*State // interned node -> Apply(e, input): O(1) key
-	stats     SessionStats
+	en    *Encoder
+	input *State
+	apply map[fs.Digest]*State // DigestExpr(e) -> Apply(e, input)
+	stats SessionStats
 }
 
 // NewSession creates a session over the vocabulary. Every expression later
@@ -85,10 +84,9 @@ type Session struct {
 func NewSession(v *Vocab) *Session {
 	en := NewEncoder(v)
 	return &Session{
-		en:        en,
-		input:     en.FreshInputState("in"),
-		apply:     make(map[fs.Digest]*State),
-		applyNode: make(map[*fs.HExpr]*State),
+		en:    en,
+		input: en.FreshInputState("in"),
+		apply: make(map[fs.Digest]*State),
 	}
 }
 
@@ -98,31 +96,15 @@ func (s *Session) Stats() SessionStats {
 	return s.stats
 }
 
-// applyMemo returns Apply(e, input), memoized per subtree. Hash-consed
-// expressions key on node identity — an O(1) pointer read, no hashing at
-// all — while plain trees fall back to the digest key, which keeps the
-// non-interned baseline exactly as fast as before. Seq spines recurse
-// through the memo, so Apply(e1, input) is computed once even though e1
-// heads many different Seq composites (every commutativity query pairs it
-// with a different second component). The memo survives Pop: symbolic
-// application creates only terms (never assertions), and the term DAG and
-// its compilation are permanent. A miss walks exactly one component
-// subtree (the Seq right child, or the whole non-Seq expression), which is
-// the unit the modeled per-encode latency of internal/core charges.
+// applyMemo returns Apply(e, input), memoized per subtree by digest. Seq
+// spines recurse through the memo, so Apply(e1, input) is computed once
+// even though e1 heads many different Seq composites (every commutativity
+// query pairs it with a different second component). The memo survives
+// Pop: symbolic application creates only terms (never assertions), and the
+// term DAG and its compilation are permanent. A miss walks exactly one
+// component subtree (the Seq right child, or the whole non-Seq
+// expression).
 func (s *Session) applyMemo(e fs.Expr) *State {
-	if h, ok := e.(*fs.HExpr); ok {
-		if st, ok := s.applyNode[h]; ok {
-			s.stats.ApplyHits++
-			return st
-		}
-		st := s.applyCompute(e)
-		if s.en.S.Interrupted() {
-			return st // cut short: never memoized
-		}
-		s.applyNode[h] = st
-		s.stats.ApplyMisses++
-		return st
-	}
 	d := fs.DigestExpr(e)
 	if st, ok := s.apply[d]; ok {
 		s.stats.ApplyHits++
@@ -130,7 +112,7 @@ func (s *Session) applyMemo(e fs.Expr) *State {
 	}
 	st := s.applyCompute(e)
 	if s.en.S.Interrupted() {
-		return st
+		return st // cut short: never memoized
 	}
 	s.apply[d] = st
 	s.stats.ApplyMisses++
@@ -139,7 +121,7 @@ func (s *Session) applyMemo(e fs.Expr) *State {
 
 // applyCompute performs the (unmemoized) symbolic application of e.
 func (s *Session) applyCompute(e fs.Expr) *State {
-	if seq, ok := fs.Unwrap(e).(fs.Seq); ok {
+	if seq, ok := e.(fs.Seq); ok {
 		return s.en.Apply(seq.E2, s.applyMemo(seq.E1))
 	}
 	return s.en.Apply(e, s.input)
@@ -153,6 +135,13 @@ func (s *Session) applyCompute(e fs.Expr) *State {
 // database over. Problem clauses, compiled terms and the apply memo are
 // unaffected.
 const sessionLearntCap = 2000
+
+// SessionQueryCap bounds the queries one pooled session answers before
+// its pool retires it. Every query's Push/Pop scope leaves its activation
+// variable, clauses and compiled terms behind, so a session grows with
+// each query; retiring it after a fixed count keeps the sessions of a
+// long-lived process bounded.
+const SessionQueryCap = 256
 
 // Equiv decides e1 ≡ e2 over the session's vocabulary, like the package
 // function Equiv but reusing the session's solver. The query runs in a
