@@ -17,6 +17,9 @@
 //	                       sharded rehearsald ring: warm jobs/sec at 1/2/4 nodes
 //	experiments            all of the above
 //
+// Daemon latency and throughput are not measured here: the benchmark's
+// `service` workload (nativebench) is the one measurement of rehearsald.
+//
 // The -timeout flag stands in for the paper's 10-minute limit (default
 // 10s: the deliberately-crippled configurations blow up factorially, so a
 // small limit shows the same shape quickly). The data behind each table is
@@ -43,8 +46,6 @@ func main() {
 	parallelOut := flag.String("parallel-out", "", "write the parallel speedup results as a JSON trajectory point (e.g. BENCH_parallel.json)")
 	incrementalBench := flag.Bool("incremental-bench", false, "run the incremental-backend speedup experiment only")
 	incrementalOut := flag.String("incremental-out", "", "write the incremental speedup results as a JSON trajectory point (e.g. BENCH_incremental.json)")
-	serviceBench := flag.Bool("service-bench", false, "run the rehearsald warm-substrate throughput experiment only")
-	serviceOut := flag.String("service-out", "", "write the service throughput results as a JSON trajectory point (e.g. BENCH_service.json)")
 	diffBench := flag.Bool("diff-bench", false, "run the differential-verification speedup experiment only")
 	diffOut := flag.String("diff-out", "", "write the differential speedup results as a JSON trajectory point (e.g. BENCH_diff.json)")
 	clusterBench := flag.Bool("cluster-bench", false, "run the sharded-cluster throughput experiment only")
@@ -87,8 +88,6 @@ func main() {
 		printParallel(*timeout, *parallelOut)
 	case *incrementalBench:
 		printIncremental(*timeout, *incrementalOut)
-	case *serviceBench:
-		printService(*timeout, *serviceOut)
 	case *diffBench:
 		printDiff(*timeout, *diffOut)
 	case *clusterBench:
@@ -102,7 +101,6 @@ func main() {
 		printBugs(*timeout)
 		printParallel(*timeout, *parallelOut)
 		printIncremental(*timeout, *incrementalOut)
-		printService(*timeout, *serviceOut)
 		printDiff(*timeout, *diffOut)
 		printCluster(*timeout, *clusterOut)
 	case *fig == "11a":
@@ -270,27 +268,6 @@ func printIncrementalTable(rep *experiments.IncrementalReport) {
 	}
 	fmt.Printf("pooled speedup over fresh: warm %.2fx, cold %.2fx\n\n",
 		rep.NativeWarmSpeedup, rep.NativeColdSpeedup)
-}
-
-func printService(timeout time.Duration, out string) {
-	runBench(timeout, time.Minute, out, experiments.BuildServiceReport, printServiceTable)
-}
-
-func printServiceTable(rep *experiments.ServiceReport) {
-	fmt.Println("== rehearsald: warm-substrate service throughput ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-8s %-10s %6s %10s %10s %10s %10s %8s %10s %8s\n",
-		"workers", "round", "jobs", "time", "jobs/s", "p50", "p99", "queries", "cache-hits", "deduped")
-	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-10s %6d %9.3fs %10.1f %8.1fms %8.1fms %8d %10d %8d\n",
-			r.Workers, r.Round, r.Jobs, r.Seconds, r.JobsPerSec,
-			r.P50MS, r.P99MS, r.Queries, r.CacheHits, r.Deduped)
-	}
-	for _, s := range rep.Speedups {
-		fmt.Printf("workers=%d: warm substrate %.2fx over cold, resubmission %.2fx over cold\n",
-			s.Workers, s.WarmOverCold, s.ResubmitOverCold)
-	}
-	fmt.Println()
 }
 
 func printDiff(timeout time.Duration, out string) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/benchmarks"
 	"repro/internal/faults"
 	"repro/internal/pkgdb"
 	"repro/internal/service"
@@ -18,19 +19,32 @@ import (
 func runCapture(t *testing.T, args ...string) (int, string) {
 	t.Helper()
 	old := os.Stdout
+	w, wait := drainPipe(t)
+	os.Stdout = w
+	code := run(args)
+	os.Stdout = old
+	return code, wait()
+}
+
+// drainPipe returns the write end of a pipe whose read end is drained in
+// the background, so output larger than the pipe buffer cannot block the
+// writer. wait closes the write end and returns everything written.
+func drainPipe(t *testing.T) (*os.File, func() string) {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	code := run(args)
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		r.Close()
+		out <- string(b)
+	}()
+	return w, func() string {
+		w.Close()
+		return <-out
 	}
-	return code, string(out)
 }
 
 func writeManifest(t *testing.T, src string) string {
@@ -329,27 +343,47 @@ func TestSnapshotFallbackExitZero(t *testing.T) {
 // against a listing service that injects a burst of faults (503, aborted
 // connections, truncated and corrupted JSON) on every path, a retry
 // budget larger than the burst yields output byte-identical to the
-// fault-free service — for a passing and for a failing manifest.
+// fault-free service — for a passing and a failing manifest, and for the
+// whole benchmark suite and its fixed variants in one multi-manifest run.
 func TestChaosServerVerdictsMatch(t *testing.T) {
-	clean := httptest.NewServer(pkgdb.Handler(pkgdb.DefaultCatalog()))
-	defer clean.Close()
-	chaotic := httptest.NewServer(faults.Middleware(
-		faults.NewPlan(faults.Config{Seed: 7, Burst: 2}),
-		pkgdb.Handler(pkgdb.DefaultCatalog())))
-	defer chaotic.Close()
-
-	for name, manifest := range map[string]string{"ok": okManifest, "buggy": buggyManifest} {
-		path := writeManifest(t, manifest)
+	dir := t.TempDir()
+	suite := []string{"-skip-idempotence"}
+	for _, b := range benchmarks.All() {
+		suite = append(suite, writeManifestNamed(t, dir, b.Name+".pp", b.Source))
+		if b.FixedName != "" {
+			fixed, err := benchmarks.Get(b.FixedName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			suite = append(suite, writeManifestNamed(t, dir, fixed.Name+".pp", fixed.Source))
+		}
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"ok", []string{writeManifest(t, okManifest)}},
+		{"buggy", []string{writeManifest(t, buggyManifest)}},
+		{"benchmarks", suite},
+	} {
+		clean := httptest.NewServer(pkgdb.Handler(pkgdb.DefaultCatalog()))
+		plan := faults.NewPlan(faults.Config{Seed: 7, Burst: 2})
+		chaotic := httptest.NewServer(faults.Middleware(plan, pkgdb.Handler(pkgdb.DefaultCatalog())))
 		args := func(url string) []string {
-			return []string{"-pkg-server", url, "-net-retries", "8", path}
+			return append([]string{"-pkg-server", url, "-net-retries", "8"}, c.args...)
 		}
 		wantCode, wantOut := runCapture(t, args(clean.URL)...)
 		gotCode, gotOut := runCapture(t, args(chaotic.URL)...)
+		clean.Close()
+		chaotic.Close()
 		if gotCode != wantCode {
-			t.Errorf("%s: exit %d under faults, %d clean", name, gotCode, wantCode)
+			t.Errorf("%s: exit %d under faults, %d clean", c.name, gotCode, wantCode)
 		}
 		if gotOut != wantOut {
-			t.Errorf("%s: output differs under faults:\nfaulty:\n%s\nclean:\n%s", name, gotOut, wantOut)
+			t.Errorf("%s: output differs under faults:\nfaulty:\n%s\nclean:\n%s", c.name, gotOut, wantOut)
+		}
+		if plan.StatsSnapshot().Injected == 0 {
+			t.Errorf("%s: the chaotic server injected no faults", c.name)
 		}
 	}
 }
@@ -368,28 +402,12 @@ func TestParallelFlagVerbose(t *testing.T) {
 func runCapture2(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	oldOut, oldErr := os.Stdout, os.Stderr
-	ro, wo, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, we, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wo, waitOut := drainPipe(t)
+	we, waitErr := drainPipe(t)
 	os.Stdout, os.Stderr = wo, we
 	code := run(args)
-	wo.Close()
-	we.Close()
 	os.Stdout, os.Stderr = oldOut, oldErr
-	out, err := io.ReadAll(ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errOut, err := io.ReadAll(re)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return code, string(out), string(errOut)
+	return code, waitOut(), waitErr()
 }
 
 // TestJSONMode: -json emits one report document per manifest on stdout, in

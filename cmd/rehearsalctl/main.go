@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -44,7 +45,7 @@ func main() {
 	}
 	flag.Parse()
 
-	c := &ctl{base: cluster.NormalizeURL(*node), client: &http.Client{Timeout: *timeout}}
+	c := &ctl{base: cluster.NormalizeURL(*node), client: &http.Client{Timeout: *timeout}, out: os.Stdout}
 	var err error
 	switch cmd, args := flag.Arg(0), flag.Args(); cmd {
 	case "status":
@@ -81,20 +82,31 @@ func usageFatal(msg string) {
 type ctl struct {
 	base   string
 	client *http.Client
+	out    io.Writer
 }
 
-// getJSON decodes a JSON response from one node into out.
-func (c *ctl) getJSON(node, path string, out any) error {
-	resp, err := c.client.Get(node + path)
+// doJSON sends req and decodes a 200 response into out; any other status
+// is an error carrying the start of the node's response body.
+func (c *ctl) doJSON(req *http.Request, out any) error {
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s%s: %s: %s", node, path, resp.Status, bytes.TrimSpace(body))
+		return fmt.Errorf("%s %s: %s: %s", req.Method, req.URL, resp.Status, bytes.TrimSpace(body))
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// getJSON decodes a JSON response from one node into out.
+func (c *ctl) getJSON(node, path string, out any) error {
+	req, err := http.NewRequest(http.MethodGet, node+path, nil)
+	if err != nil {
+		return err
+	}
+	return c.doJSON(req, out)
 }
 
 func (c *ctl) ring() (cluster.RingInfo, error) {
@@ -103,12 +115,12 @@ func (c *ctl) ring() (cluster.RingInfo, error) {
 	return info, err
 }
 
-func printRing(info cluster.RingInfo) {
+func printRing(w io.Writer, info cluster.RingInfo) {
 	dead := map[string]bool{}
 	for _, d := range info.Dead {
 		dead[d] = true
 	}
-	fmt.Printf("ring of %d member(s), as seen by %s:\n", len(info.Members), info.Self)
+	fmt.Fprintf(w, "ring of %d member(s), as seen by %s:\n", len(info.Members), info.Self)
 	for _, m := range info.Members {
 		mark := "  "
 		switch {
@@ -117,10 +129,10 @@ func printRing(info cluster.RingInfo) {
 		case dead[m]:
 			mark = "! " // in dead-peer cooldown
 		}
-		fmt.Printf("  %s%s\n", mark, m)
+		fmt.Fprintf(w, "  %s%s\n", mark, m)
 	}
 	if len(info.Dead) > 0 {
-		fmt.Printf("  (! = dead peer: skipped until its cooldown expires)\n")
+		fmt.Fprintf(w, "  (! = dead peer: skipped until its cooldown expires)\n")
 	}
 }
 
@@ -129,41 +141,36 @@ func (c *ctl) status() error {
 	if err != nil {
 		return err
 	}
-	printRing(info)
+	printRing(c.out, info)
 	return nil
 }
 
-func (c *ctl) peerAdd(url string) error {
-	body, _ := json.Marshal(map[string]string{"url": url})
-	resp, err := c.client.Post(c.base+"/v1/ring/peers", "application/json", bytes.NewReader(body))
+func (c *ctl) peerAdd(peer string) error {
+	body, _ := json.Marshal(map[string]string{"url": peer})
+	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/ring/peers", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	var info cluster.RingInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return err
-	}
-	printRing(info)
-	return nil
+	req.Header.Set("Content-Type", "application/json")
+	return c.changeRing(req)
 }
 
-func (c *ctl) peerRemove(url string) error {
+func (c *ctl) peerRemove(peer string) error {
 	req, err := http.NewRequest(http.MethodDelete,
-		c.base+"/v1/ring/peers?url="+url, nil)
+		c.base+"/v1/ring/peers?url="+url.QueryEscape(peer), nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
+	return c.changeRing(req)
+}
+
+// changeRing sends a membership change and prints the ring it returns.
+func (c *ctl) changeRing(req *http.Request) error {
 	var info cluster.RingInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := c.doJSON(req, &info); err != nil {
 		return err
 	}
-	printRing(info)
+	printRing(c.out, info)
 	return nil
 }
 
@@ -172,7 +179,7 @@ func (c *ctl) stats() error {
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(c.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "NODE\tMEM HITS\tMISSES\tDISK HITS\tRING HITS\tRING PUTS\tROUTED\tPROXIED\tFALLBACKS\tJOBS DONE")
 	var total service.ClusterStats
 	reached := 0
@@ -207,7 +214,7 @@ func (c *ctl) stats() error {
 	if reached == 0 {
 		return fmt.Errorf("no cluster member reachable")
 	}
-	fmt.Printf("fleet: %d/%d nodes, %d memory hits, %d misses, %d ring hits, %d routed local, %d proxied, %d fallbacks\n",
+	fmt.Fprintf(c.out, "fleet: %d/%d nodes, %d memory hits, %d misses, %d ring hits, %d routed local, %d proxied, %d fallbacks\n",
 		reached, len(info.Members), total.Qcache.Hits, total.Qcache.Misses,
 		total.Qcache.RemoteHits, total.RoutedLocal, total.RoutedProxied, total.ProxyFallbacks)
 	return nil

@@ -73,7 +73,7 @@ func main() {
 	chaos := flag.String("chaos", "", "fault-injection spec applied to the HTTP layer (testing only), e.g. seed=42,rate=0.2,kinds=status+reset")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for workers to observe cancellation")
 	peers := flag.String("peers", "", "comma-separated peer URLs to form a verdict-sharing cluster with (requires -advertise)")
-	advertise := flag.String("advertise", "", "URL peers reach this node at, e.g. http://10.0.0.5:8374 (joins the cluster ring)")
+	advertise := flag.String("advertise", "", "URL peers reach this node at, e.g. http://10.0.0.5:8374 (joins the cluster ring; peer endpoints are unauthenticated, so run clustered daemons on a trusted network only)")
 	flag.Parse()
 
 	var node *cluster.Node

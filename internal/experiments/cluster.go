@@ -21,6 +21,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -183,6 +184,10 @@ func startClusterFleet(n int, timeout time.Duration, cfg ClusterBenchConfig) (*c
 	return f, nil
 }
 
+func shutdownContext() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), 30*time.Second)
+}
+
 func (f *clusterFleet) close() {
 	for _, svc := range f.svcs {
 		ctx, cancel := shutdownContext()
@@ -207,10 +212,13 @@ func zipfDraws(cfg ClusterBenchConfig) []int {
 	return draws
 }
 
-// clusterManifest renders pool entry idx — a sliding package window, as
-// in the service experiment — salted with the round and submission index
-// so every submission has a distinct digest: nothing is answered by the
-// dedup/result layer, and warm-round routing re-shards the whole mix.
+// serviceWindow is the number of packages per manifest in the fleet.
+const serviceWindow = 4
+
+// clusterManifest renders pool entry idx — a sliding package window —
+// salted with the round and submission index so every submission has a
+// distinct digest: nothing is answered by the dedup/result layer, and
+// warm-round routing re-shards the whole mix.
 func clusterManifest(pool, idx int, round string, job int) string {
 	m := fmt.Sprintf("# %s cluster job %d (pool %d)\n", round, job, idx)
 	for j := 0; j < serviceWindow; j++ {
@@ -359,6 +367,20 @@ func (f *clusterFleet) runRound(round string, draws []int, cfg ClusterBenchConfi
 		Queries:    queries,
 		RemoteHits: remoteHits,
 	}, fingerprints, nil
+}
+
+func quantileMS(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q*float64(len(sorted))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
 // clusterStats aggregates per-node routing and ring-tier counters.

@@ -1,11 +1,11 @@
 // Package leakcheck is the shared resource-leak oracle: snapshot the
 // process's goroutine count, open file descriptors and heap before a
 // workload, run it, and assert that everything settled back afterwards.
-// The service, cluster and fault tests all need the same
+// The service, cluster, fault and scenario tests all need the same
 // discipline — "this code path must not strand a goroutine or socket" —
-// and the soak rig (cmd/rehearsal-load) enforces it over minutes-long
-// runs, so the snapshot/settle/diff logic lives here once instead of as
-// per-test ad-hoc loops.
+// and TestSoakNoLeaks (internal/service) adds a heap budget over a
+// zipfian job mix, so the snapshot/settle/diff logic lives here once
+// instead of as per-test ad-hoc loops.
 //
 // The check is necessarily a settle, not an instantaneous compare:
 // HTTP keep-alive reapers, test-server accept loops and runtime helpers
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"testing"
 	"time"
 )
 
@@ -66,8 +67,8 @@ type Opts struct {
 	// 0 means 0: sockets and files must all be returned.
 	FDSlack int
 	// HeapBudget bounds heap growth in bytes; 0 skips the heap check
-	// (most tests churn the allocator legitimately — only long soaks
-	// care).
+	// (most tests churn the allocator legitimately — only the soak test
+	// cares).
 	HeapBudget uint64
 	// Timeout bounds the settle poll; 0 means 5s.
 	Timeout time.Duration
@@ -150,25 +151,17 @@ func joinProblems(ps []string) string {
 	return out
 }
 
-// TB is the subset of testing.TB the test adapter needs (an interface so
-// this package stays importable from non-test binaries like the soak
-// rig).
-type TB interface {
-	Helper()
-	Fatalf(format string, args ...any)
-}
-
 // Assert is the test-side entry point: call with a snapshot taken before
 // the workload; it fails the test with the settle diagnostic when the
 // workload leaked. Defaults match the historical per-test loops (5s
 // deadline, small goroutine slack, fds exact).
-func Assert(t TB, base Snapshot) {
+func Assert(t testing.TB, base Snapshot) {
 	t.Helper()
 	AssertOpts(t, base, Opts{})
 }
 
 // AssertOpts is Assert with explicit tolerances.
-func AssertOpts(t TB, base Snapshot, opts Opts) {
+func AssertOpts(t testing.TB, base Snapshot, opts Opts) {
 	t.Helper()
 	if err := Settle(base, opts); err != nil {
 		t.Fatalf("%v", err)

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -44,23 +43,10 @@ func New(cfg Config) (*Server, error) {
 	return &Server{cfg: sched.cfg, sched: sched}, nil
 }
 
-// Scheduler internals exposed for white-box tests and benchmarks.
-
-// Submit admits a job programmatically (the benchmark harness drives the
-// scheduler without HTTP).
-func (s *Server) Submit(req JobRequest) (*Job, bool, error) { return s.sched.submit(req) }
-
-// Job returns a live job by id. The scenario engine and the soak rig
+// Job returns a live job by id. The service benchmark and the soak test
 // wait on Job.Done instead of polling the HTTP surface, which keeps
-// their latency measurements free of polling quantization.
+// latency measurements free of polling quantization.
 func (s *Server) Job(id string) (*Job, bool) { return s.sched.store.get(id) }
-
-// Metrics returns the live counter set.
-func (s *Server) MetricsText() string {
-	var b strings.Builder
-	s.writeMetrics(&b)
-	return b.String()
-}
 
 // Shutdown gracefully drains the daemon: admission stops (new submissions
 // get 503), queued and in-flight jobs are canceled and finish in the
