@@ -326,14 +326,13 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 
 // BenchmarkFleetDeterminism measures a native determinacy verdict, from
 // manifest text to verdict, on generated fleet manifests of about 400,
-// 1,200 and 2,400 resources (classes base → people → sites), so the
-// growth of elimination and graph building with size stays visible. It
-// runs the two fault classes that get a verdict: none (deterministic)
-// and local-dep (non-deterministic); the pkg-config class reaches the
-// exact fallback and is undecided at these sizes.
+// 1,200, 2,400 and 10,000 resources (classes base → people → sites), so
+// the growth of elimination and graph building with size stays visible.
+// It runs all three fault classes: none (deterministic), local-dep and
+// pkg-config (non-deterministic).
 func BenchmarkFleetDeterminism(b *testing.B) {
-	for _, n := range []int{400, 1200, 2400} {
-		for _, f := range []benchmarks.FleetFault{benchmarks.FleetNone, benchmarks.FleetLocalDep} {
+	for _, n := range []int{400, 1200, 2400, 10000} {
+		for f := benchmarks.FleetNone; f <= benchmarks.FleetPkgConfig; f++ {
 			src := benchmarks.Fleet(n, f, 1)
 			b.Run(fmt.Sprintf("resources=%d/%s", n, f), func(b *testing.B) {
 				var res *core.DeterminismResult

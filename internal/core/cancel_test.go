@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fs"
 	"repro/internal/leakcheck"
+	"repro/internal/pkgdb"
 )
 
 // TestFleetCheckHonorsContext: a check that runs unbounded for well over
@@ -48,28 +50,73 @@ func TestFleetCheckHonorsContext(t *testing.T) {
 	leakcheck.Assert(t, base)
 }
 
-// TestFleetLoadHonorsContext: compiling a 5,000-resource fleet, whose
-// class chains expand to millions of edges, stops within a second under a
-// 100 ms context, with an error wrapping ErrCanceled, and leaves no
-// goroutine behind.
+// cancelOnLookup is a package provider that ends a context at its first
+// query and then answers from the catalog it wraps. It implements only
+// pkgdb.Provider, so Load cannot bind the context to it: the context
+// reaches compilation only through Load's own polls.
+type cancelOnLookup struct {
+	pkgdb.Provider
+	cancel   context.CancelFunc
+	mu       sync.Mutex
+	names    map[string]bool // packages queried
+	canceled time.Time
+}
+
+func (p *cancelOnLookup) query(name string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.names) == 0 {
+		p.cancel()
+		p.canceled = time.Now()
+	}
+	p.names[name] = true
+}
+
+func (p *cancelOnLookup) Lookup(platform, name string) (*pkgdb.Package, error) {
+	p.query(name)
+	return p.Provider.Lookup(platform, name)
+}
+
+func (p *cancelOnLookup) Closure(platform, name string) ([]*pkgdb.Package, error) {
+	p.query(name)
+	return p.Provider.Closure(platform, name)
+}
+
+func (p *cancelOnLookup) ReverseDependents(platform, name string) ([]*pkgdb.Package, error) {
+	p.query(name)
+	return p.Provider.ReverseDependents(platform, name)
+}
+
+// TestFleetLoadHonorsContext: compiling a 5,000-resource fleet whose
+// context ends while its first package is being compiled stops at the
+// next resource, without querying another of the fleet's five packages,
+// returns within a second with an error wrapping ErrCanceled, and leaves
+// no goroutine behind. The context ends on the provider's first query,
+// so the test does not depend on how fast the fleet compiles.
 func TestFleetLoadHonorsContext(t *testing.T) {
 	src := benchmarks.Fleet(5000, benchmarks.FleetNone, 1)
 	base := leakcheck.Take()
-	opts := core.DefaultOptions()
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	provider := &cancelOnLookup{Provider: pkgdb.DefaultCatalog(), cancel: cancel, names: map[string]bool{}}
+	opts := core.DefaultOptions()
+	opts.Provider = provider
 	opts.Context = ctx
-	start := time.Now()
 	sys, err := core.Load(src, opts)
-	took := time.Since(start)
+	returned := time.Now()
 	if err == nil {
-		t.Fatalf("Load compiled %d resources under a 100ms context", sys.Size())
+		t.Fatalf("Load compiled %d resources under a context canceled at the first package query", sys.Size())
 	}
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want one wrapping core.ErrCanceled", err)
 	}
-	if took > time.Second {
-		t.Errorf("Load returned after %v, want at most 1s", took)
+	provider.mu.Lock()
+	defer provider.mu.Unlock()
+	if len(provider.names) != 1 {
+		t.Errorf("compilation queried packages %v after the cancellation, want only the first", provider.names)
+	}
+	if took := returned.Sub(provider.canceled); took > time.Second {
+		t.Errorf("Load returned %v after the cancellation, want at most 1s", took)
 	}
 	leakcheck.Assert(t, base)
 }

@@ -170,13 +170,24 @@ func PlatformFacts(platform string) map[string]puppet.Value {
 	}
 }
 
-// node is one vertex of the compiled resource graph.
+// node is one vertex of the compiled resource graph: a resource, or a
+// barrier that links the two sides of a dependency between many resources
+// in linear space (see connect in FromCatalog).
 type node struct {
-	res  *puppet.Resource
-	expr fs.Expr // compiled FS model, possibly pruned
-	orig fs.Expr // unpruned model, used for replay and idempotence
+	res  *puppet.Resource // nil for a barrier
+	expr fs.Expr          // compiled FS model, possibly pruned
+	orig fs.Expr          // unpruned model, used for replay and idempotence
 	sum  *commute.Summary
 }
+
+// barrier reports whether the vertex is a barrier rather than a resource.
+// A barrier's model is Id: it touches no path, so it commutes with every
+// resource and elimination removes it, without a query, once its
+// dependents are gone.
+func (n *node) barrier() bool { return n.res == nil }
+
+// barrierSum is the (empty) effect summary every barrier shares.
+var barrierSum = commute.Analyze(fs.Id{})
 
 // System is a loaded manifest: the catalog and the compiled resource graph
 // of figure 4.
@@ -252,7 +263,7 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		return n, ok
 	}
 	// nodesOf resolves an expanded reference once, so a class chain's
-	// |from|×|to| edges go to the graph store as plain handles.
+	// edges go to the graph store as plain handles.
 	nodesOf := func(rs []*puppet.Resource) ([]graph.Node, bool) {
 		out := make([]graph.Node, len(rs))
 		for i, r := range rs {
@@ -264,31 +275,42 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 		}
 		return out, true
 	}
-	// connect adds an edge from every vertex of us to every vertex of vs,
-	// ignoring self-dependencies (via containers), and polls for
-	// cancellation every edgePoll edges: one class chain can expand to
-	// hundreds of thousands of them. what renders the edges' origin, for
-	// error messages, only when an edge fails.
-	const edgePoll = 1 << 16
-	pending := 0
+	// connect orders every vertex of us before every vertex of vs,
+	// ignoring self-dependencies (via containers). what renders the
+	// edges' origin, for error messages, only when an edge fails.
+	//
+	// Section 3.1 expands a class-level dependency into an edge per pair
+	// of resources: |us|·|vs| edges, hundreds of thousands for one fleet
+	// class chain. When both sides hold more than one resource, connect
+	// instead adds one barrier vertex with an edge from every u and to
+	// every v, which keeps reachability among resources exactly the same
+	// in |us|+|vs| edges. Sides that share a resource (a container
+	// referring to one of its own members) keep the product, which skips
+	// the self-edge a barrier would turn into a cycle. Barriers are added
+	// only here, after every resource has its vertex, so resource handles
+	// stay 0..N-1.
 	connect := func(us, vs []graph.Node, what func() string) error {
-		for _, u := range us {
-			for _, v := range vs {
-				if u == v {
-					continue
-				}
-				if err := g.AddEdge(u, v); err != nil {
-					return fmt.Errorf("%s: %w", what(), err)
-				}
-			}
-			if pending += len(vs); pending >= edgePoll {
-				pending = 0
-				if err := canceled(); err != nil {
-					return err
+		product := func(us, vs []graph.Node) error {
+			for _, u := range us {
+				for _, v := range vs {
+					if u == v {
+						continue
+					}
+					if err := g.AddEdge(u, v); err != nil {
+						return fmt.Errorf("%s: %w", what(), err)
+					}
 				}
 			}
+			return nil
 		}
-		return nil
+		if len(us) <= 1 || len(vs) <= 1 || overlap(us, vs) {
+			return product(us, vs)
+		}
+		b := []graph.Node{g.Add(&node{expr: fs.Id{}, orig: fs.Id{}, sum: barrierSum})}
+		if err := product(us, b); err != nil {
+			return err
+		}
+		return product(b, vs)
 	}
 
 	// Dependency edges from metaparameters and chaining arrows, expanding
@@ -364,9 +386,23 @@ func FromCatalog(cat *puppet.Catalog, opts Options) (*System, error) {
 	}
 
 	if err := g.CheckAcyclic(); err != nil {
-		return nil, describeCycle(g)
+		return nil, describeCycle(g, err)
 	}
 	return &System{Catalog: cat, opts: opts, g: g}, nil
+}
+
+// overlap reports whether xs and ys share a vertex.
+func overlap(xs, ys []graph.Node) bool {
+	in := make(map[graph.Node]bool, len(xs))
+	for _, x := range xs {
+		in[x] = true
+	}
+	for _, y := range ys {
+		if in[y] {
+			return true
+		}
+	}
+	return false
 }
 
 // CycleError reports that the manifest's dependencies form a cycle (the
@@ -390,14 +426,20 @@ func (e *CycleError) Error() string {
 	return fmt.Sprintf("dependency cycle: %s", strings.Join(closed, " -> "))
 }
 
-// describeCycle renders a dependency cycle with resource names.
-func describeCycle(g *graph.Graph[*node]) error {
+// describeCycle renders the cycle g.CheckAcyclic reported with resource
+// names, leaving out the barriers it passes through.
+func describeCycle(g *graph.Graph[*node], err error) error {
 	var ce *graph.CycleError
-	err := g.CheckAcyclicNamed(func(n *node) string { return n.res.String() })
 	if !errors.As(err, &ce) {
-		return err // raced mutation; report whatever the graph said
+		return err
 	}
-	return &CycleError{Resources: ce.Names}
+	var names []string
+	for _, n := range ce.Nodes {
+		if l := g.Label(n); !l.barrier() {
+			names = append(names, l.res.String())
+		}
+	}
+	return &CycleError{Resources: names}
 }
 
 // applyStages builds the stage DAG and adds inter-stage resource edges
@@ -482,13 +524,53 @@ func applyStages(cat *puppet.Catalog, byRes map[*puppet.Resource]graph.Node, con
 	return nil
 }
 
+// resourceNodes returns the resource vertices in declaration order,
+// leaving out barriers.
+func (s *System) resourceNodes() []graph.Node {
+	var out []graph.Node
+	for _, n := range s.g.Nodes() {
+		if !s.g.Label(n).barrier() {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// resourceGraph returns the resource graph with every barrier expanded
+// back into the resource edges it stands for: the graph of section 3.1,
+// with the same handles, that the exports below render.
+func (s *System) resourceGraph() *graph.Graph[*node] {
+	nodes := s.resourceNodes()
+	out := graph.New[*node]()
+	for _, n := range nodes {
+		out.Add(s.g.Label(n)) // resource handles are 0..N-1 in both graphs
+	}
+	succs := graph.NewBits(len(nodes))
+	for _, u := range nodes {
+		clear(succs)
+		for _, m := range s.g.Succs(u) {
+			if !s.g.Label(m).barrier() {
+				succs.Set(m)
+				continue
+			}
+			for _, v := range s.g.Succs(m) {
+				succs.Set(v)
+			}
+		}
+		for v := succs.Next(0); v >= 0; v = succs.Next(v + 1) {
+			_ = out.AddEdge(u, v)
+		}
+	}
+	return out
+}
+
 // Size returns the number of resources in the compiled graph.
-func (s *System) Size() int { return s.g.Len() }
+func (s *System) Size() int { return len(s.resourceNodes()) }
 
 // ResourceNames returns the resource names in declaration order.
 func (s *System) ResourceNames() []string {
 	var out []string
-	for _, n := range s.g.Nodes() {
+	for _, n := range s.resourceNodes() {
 		out = append(out, s.g.Label(n).res.String())
 	}
 	return out
@@ -496,40 +578,23 @@ func (s *System) ResourceNames() []string {
 
 // Dot renders the resource graph in Graphviz format.
 func (s *System) Dot() string {
-	return s.g.Dot(func(n *node) string { return n.res.String() })
+	return s.resourceGraph().Dot(func(n *node) string { return n.res.String() })
 }
 
 // Graph exposes a copy of the resource graph labeled with resource names,
 // for inspection by tools.
 func (s *System) Graph() *graph.Graph[string] {
-	out := graph.New[string]()
-	m := make(map[graph.Node]graph.Node)
-	for _, n := range s.g.Nodes() {
-		m[n] = out.Add(s.g.Label(n).res.String())
-	}
-	for _, n := range s.g.Nodes() {
-		for _, v := range s.g.Succs(n) {
-			_ = out.AddEdge(m[n], m[v])
-		}
-	}
-	return out
+	return graph.Induced(s.resourceGraph(), all, func(_ graph.Node, n *node) string { return n.res.String() })
 }
 
 // ExprGraph exposes the resource graph labeled with the unpruned FS
 // models, as consumed by the dynamic baseline (package dynamic).
 func (s *System) ExprGraph() *graph.Graph[fs.Expr] {
-	out := graph.New[fs.Expr]()
-	m := make(map[graph.Node]graph.Node)
-	for _, n := range s.g.Nodes() {
-		m[n] = out.Add(s.g.Label(n).orig)
-	}
-	for _, n := range s.g.Nodes() {
-		for _, v := range s.g.Succs(n) {
-			_ = out.AddEdge(m[n], m[v])
-		}
-	}
-	return out
+	return graph.Induced(s.resourceGraph(), all, func(_ graph.Node, n *node) fs.Expr { return n.orig })
 }
+
+// all keeps every vertex of a graph.
+func all(graph.Node) bool { return true }
 
 // ResourceDigests returns the Merkle digest of every resource's compiled
 // (unpruned) model, keyed by resource name — the input internal/diff
@@ -539,8 +604,9 @@ func (s *System) ExprGraph() *graph.Graph[fs.Expr] {
 // declaration text untouched (a changed variable flowing into another
 // resource's template).
 func (s *System) ResourceDigests() map[string]fs.Digest {
-	out := make(map[string]fs.Digest, s.g.Len())
-	for _, n := range s.g.Nodes() {
+	nodes := s.resourceNodes()
+	out := make(map[string]fs.Digest, len(nodes))
+	for _, n := range nodes {
 		l := s.g.Label(n)
 		out[l.res.String()] = fs.DigestExpr(l.orig)
 	}
@@ -551,7 +617,7 @@ func (s *System) ResourceDigests() map[string]fs.Digest {
 // unpruned "paths per state" of figure 11a.
 func (s *System) TotalPaths() int {
 	dom := make(fs.PathSet)
-	for _, n := range s.g.Nodes() {
+	for _, n := range s.resourceNodes() {
 		dom.AddAll(fs.Dom(s.g.Label(n).orig))
 	}
 	return len(dom)

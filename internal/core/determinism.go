@@ -132,10 +132,11 @@ type DeterminismResult struct {
 
 // workNode is a mutable copy of a graph node used during one check.
 type workNode struct {
-	name string
-	expr fs.Expr
-	orig fs.Expr
-	sum  *commute.Summary
+	name    string // empty for a barrier
+	barrier bool
+	expr    fs.Expr
+	orig    fs.Expr
+	sum     *commute.Summary
 
 	// unchanged marks the resource's compiled model as digest-identical to
 	// the base manifest's (differential checks only; always false on a
@@ -219,7 +220,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	cc := newCommuteChecker(opts)
 	cc.diffAware = delta != nil
 	defer cc.cancel() // release the derived context on every exit path
-	stats := Stats{Resources: s.g.Len(), TotalPaths: s.TotalPaths(), Workers: cc.workers}
+	stats := Stats{Resources: s.Size(), TotalPaths: s.TotalPaths(), Workers: cc.workers}
 	if delta != nil {
 		stats.DiffChanged = len(delta.Changed) + len(delta.Added)
 		stats.DiffUnchanged = len(delta.Unchanged)
@@ -464,6 +465,10 @@ func (s *System) workLabels(unchanged map[string]bool) []*workNode {
 	work := make([]*workNode, s.g.Cap())
 	for _, n := range s.g.Nodes() {
 		l := s.g.Label(n)
+		if l.barrier() {
+			work[n] = &workNode{barrier: true, expr: l.expr, orig: l.orig, sum: l.sum}
+			continue
+		}
 		name := l.res.String()
 		work[n] = &workNode{name: name, expr: l.expr, orig: l.orig, sum: l.sum, unchanged: unchanged[name]}
 	}
@@ -498,8 +503,10 @@ func (s *System) replay(wg *graph.Graph[*workNode], eliminated []*workNode, in f
 		var names []string
 		var exprs []fs.Expr
 		for _, n := range order {
-			names = append(names, wg.Label(n).name)
-			exprs = append(exprs, wg.Label(n).orig)
+			if l := wg.Label(n); !l.barrier {
+				names = append(names, l.name)
+				exprs = append(exprs, l.orig)
+			}
 		}
 		for i := len(elim) - 1; i >= 0; i-- {
 			names = append(names, elim[i].name)
@@ -584,6 +591,10 @@ func minimizeInput(e1, e2 fs.Expr, in fs.State, keepWellFormed bool) fs.State {
 //     the wake-up keeps the scan exact without relying on that.)
 //   - Ancestor sets come from r, computed once: removing nodes without
 //     dependents never changes reachability among the survivors.
+//   - A barrier (built with dependents, so never fringe at the start)
+//     goes the moment its last dependent does, and its dependencies wake
+//     as if that dependent had been their own: barriers change neither
+//     the removal order nor the rounds, and are not among the removed.
 //
 // With semantic commutativity at Parallelism > 1, each round starts by
 // fanning across the worker pool the candidate pairs of every fringe node
@@ -666,11 +677,21 @@ func eliminate(g *graph.Graph[*node], work []*workNode, r *graph.Reach, cc *comm
 					next.Set(w)
 				}
 			}
-			g.EachPred(v, func(p graph.Node) {
-				if outdeg[p]--; outdeg[p] == 0 {
-					wake(p)
-				}
-			})
+			var release func(x graph.Node)
+			release = func(x graph.Node) {
+				g.EachPred(x, func(p graph.Node) {
+					if outdeg[p]--; outdeg[p] != 0 {
+						return
+					}
+					if work[p].barrier {
+						alive.Clear(p)
+						release(p)
+					} else {
+						wake(p)
+					}
+				})
+			}
+			release(v)
 			for _, w := range blocked[v] {
 				wake(w)
 			}
@@ -855,7 +876,30 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 	//
 	// Both use lemma 4's semantic commutativity, so every pruned
 	// linearization is equivalent to an explored one.
+	//
+	// A ready barrier goes first, before either applies, in every
+	// configuration: it is Id, so every order is equivalent to one that
+	// runs it as soon as it is ready, and scheduling it so leaves the
+	// resources exactly the choices they have without barriers.
 	var rec func(st *sym.State, sleep map[graph.Node]bool) error
+	// schedule runs n next and explores what follows.
+	schedule := func(n graph.Node, st *sym.State, sleep map[graph.Node]bool) error {
+		remaining[n] = false
+		for _, m := range succs[idx[n]] {
+			indeg[m]--
+		}
+		order = append(order, n)
+		if l := wg.Label(n); !l.barrier {
+			st = en.Apply(l.expr, st)
+		}
+		err := rec(st, sleep)
+		order = order[:len(order)-1]
+		remaining[n] = true
+		for _, m := range succs[idx[n]] {
+			indeg[m]++
+		}
+		return err
+	}
 	rec = func(st *sym.State, sleep map[graph.Node]bool) error {
 		// These checks also catch an Apply that the encoder's copy of the
 		// same limits cut short, so no such state reaches outs.
@@ -879,7 +923,13 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 		}
 		var ready []graph.Node
 		for _, n := range nodes {
-			if remaining[n] && indeg[n] == 0 && !sleep[n] {
+			if !remaining[n] || indeg[n] != 0 {
+				continue
+			}
+			if wg.Label(n).barrier {
+				return schedule(n, st, sleep)
+			}
+			if !sleep[n] {
 				ready = append(ready, n)
 			}
 		}
@@ -917,18 +967,7 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 					childSleep[s] = true
 				}
 			}
-			remaining[n] = false
-			for _, m := range succs[idx[n]] {
-				indeg[m]--
-			}
-			order = append(order, n)
-			err := rec(en.Apply(wg.Label(n).expr, st), childSleep)
-			order = order[:len(order)-1]
-			remaining[n] = true
-			for _, m := range succs[idx[n]] {
-				indeg[m]++
-			}
-			if err != nil {
+			if err := schedule(n, st, childSleep); err != nil {
 				return err
 			}
 			if opts.Commutativity && !opts.DisableSleepSets && branch < len(ready)-1 {

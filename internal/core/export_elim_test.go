@@ -32,13 +32,14 @@ func RunElimination(s *System, opts Options, oracle bool) (EliminationRun, error
 	if opts.SemanticCommute && !opts.FreshSolvers {
 		cc.usePool(s.poolVocab())
 	}
-	all := func(graph.Node) bool { return true }
 	relabel := func(n graph.Node, _ *node) *workNode { return work[n] }
 
+	// The oracle runs on the resource graph without barriers, as section
+	// 4.4 states it; the worklist's residual is compared on that graph too.
 	var removed []*workNode
 	var residual *graph.Graph[*workNode]
 	if oracle {
-		residual = graph.Induced(s.g, all, relabel)
+		residual = graph.Induced(s.resourceGraph(), all, relabel)
 		removed = eliminateRounds(residual, cc)
 	} else {
 		reach, err := s.g.Reach()
@@ -50,7 +51,7 @@ func RunElimination(s *System, opts Options, oracle bool) (EliminationRun, error
 		if err != nil {
 			return EliminationRun{}, err
 		}
-		residual = graph.Induced(s.g, alive.Has, relabel)
+		residual = graph.Induced(s.resourceGraph(), alive.Has, relabel)
 	}
 	if err := cc.err(); err != nil {
 		return EliminationRun{}, err

@@ -178,8 +178,7 @@ func (g *Graph[L]) Clone() *Graph[L] {
 // CycleError reports one directed cycle found where the caller required a
 // DAG. It names the offending vertices — by their labels, not their
 // internal node numbers — so a user can see which resources form the
-// cycle; callers with richer labels can render their own names via
-// CheckAcyclicNamed.
+// cycle.
 type CycleError struct {
 	// Nodes are the vertices of the cycle in order; the edge from the last
 	// back to the first closes it.
@@ -200,13 +199,6 @@ func (e *CycleError) Error() string {
 // CheckAcyclic returns nil when the graph has no directed cycle, or a
 // *CycleError naming one cycle by vertex labels otherwise.
 func (g *Graph[L]) CheckAcyclic() error {
-	return g.CheckAcyclicNamed(func(l L) string { return fmt.Sprint(l) })
-}
-
-// CheckAcyclicNamed is CheckAcyclic with a caller-supplied label renderer,
-// for graphs whose labels do not print usefully with fmt (e.g. pointers to
-// compiled resources).
-func (g *Graph[L]) CheckAcyclicNamed(name func(L) string) error {
 	if g.eachTopo(func(Node) {}) {
 		return nil
 	}
@@ -216,7 +208,7 @@ func (g *Graph[L]) CheckAcyclicNamed(name func(L) string) error {
 	}
 	names := make([]string, 0, len(cycle))
 	for _, c := range cycle {
-		names = append(names, name(g.labels[c]))
+		names = append(names, fmt.Sprint(g.labels[c]))
 	}
 	return &CycleError{Nodes: cycle, Names: names}
 }

@@ -119,8 +119,7 @@ func TestAcyclic(t *testing.T) {
 }
 
 // TestCycleErrorNamesNodes: the error from CheckAcyclic is a structured
-// *CycleError whose Names renders the offending labels in cycle order, and
-// CheckAcyclicNamed lets callers substitute richer names.
+// *CycleError whose Names renders the offending labels in cycle order.
 func TestCycleErrorNamesNodes(t *testing.T) {
 	g, _, b, c, _ := diamond()
 	if err := g.AddEdge(b, c); err != nil {
@@ -153,17 +152,6 @@ func TestCycleErrorNamesNodes(t *testing.T) {
 	if !strings.Contains(err.Error(), ce.Names[0]) ||
 		!strings.Contains(err.Error(), " -> ") {
 		t.Errorf("error text should render the cycle path: %q", err.Error())
-	}
-
-	// A custom namer decorates every node.
-	err = g.CheckAcyclicNamed(func(l string) string { return "Node[" + l + "]" })
-	if !errors.As(err, &ce) {
-		t.Fatalf("CheckAcyclicNamed returned %T", err)
-	}
-	for _, n := range ce.Names {
-		if !strings.HasPrefix(n, "Node[") {
-			t.Errorf("custom namer not applied: %v", ce.Names)
-		}
 	}
 }
 
