@@ -9,6 +9,7 @@ package repro
 // cmd/experiments; EXPERIMENTS.md records paper-vs-measured shapes.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -104,7 +105,7 @@ func BenchmarkFig11cCommutativity(b *testing.B) {
 					timeouts := 0
 					for i := 0; i < b.N; i++ {
 						sys := loadOrFatal(b, bench.Source, opts)
-						if _, err := sys.CheckDeterminism(); err == core.ErrTimeout {
+						if _, err := sys.CheckDeterminism(); errors.Is(err, core.ErrTimeout) {
 							timeouts++
 						} else if err != nil {
 							b.Fatal(err)
@@ -243,7 +244,7 @@ func BenchmarkAblationSleepSets(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys := loadOrFatal(b, manifest, opts)
 				res, err := sys.CheckDeterminism()
-				if err == core.ErrTimeout {
+				if errors.Is(err, core.ErrTimeout) {
 					timeouts++
 				} else if err != nil {
 					b.Fatal(err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,15 @@ import (
 // deadline passes or the sequence cap is hit mid-enumeration, the check must
 // surface ErrTimeout — never a silent "deterministic" built from a partial
 // set of linearizations.
+
+// assertNamesCap: an exhausted sequence cap says so, so a caller who sees
+// the timeout knows which knob to raise.
+func assertNamesCap(t *testing.T, err error) {
+	t.Helper()
+	if !strings.Contains(err.Error(), "MaxSequences") {
+		t.Errorf("error %q does not name the MaxSequences cap", err)
+	}
+}
 
 // TestMaxSequencesExhaustion: the sequence cap aborts the check even when
 // the manifest is, in truth, deterministic. Two independent file writes with
@@ -32,9 +43,10 @@ file{"/b": content => "y" }
 		t.Fatal(err)
 	}
 	res, err := s.CheckDeterminism()
-	if err != ErrTimeout {
+	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout at MaxSequences=1, got res=%+v err=%v", res, err)
 	}
+	assertNamesCap(t, err)
 	if res != nil {
 		t.Fatalf("exhausted check must not return a result, got %+v", res)
 	}
@@ -80,9 +92,10 @@ user{"u3": }
 		t.Fatal(err)
 	}
 	res, err := s.CheckDeterminism()
-	if err != ErrTimeout {
+	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout at MaxSequences=3, got res=%+v err=%v", res, err)
 	}
+	assertNamesCap(t, err)
 }
 
 // TestDeadlineDuringEnumeration: a deadline that expires while enumeration
@@ -109,8 +122,11 @@ user{"u7": }
 		t.Fatal(err)
 	}
 	res, err := s.CheckDeterminism()
-	if err != ErrTimeout {
+	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout under expired deadline, got res=%+v err=%v", res, err)
+	}
+	if strings.Contains(err.Error(), "MaxSequences") {
+		t.Errorf("a deadline timeout blames the sequence cap: %v", err)
 	}
 	if res != nil {
 		t.Fatalf("timed-out check must not return a result, got %+v", res)

@@ -83,7 +83,8 @@ type Options struct {
 	// verdict. Nil means the analysis only stops on Timeout.
 	Context context.Context
 	// MaxSequences caps the number of linearizations the checker encodes
-	// before giving up with ErrTimeout; 0 means the default of 20000.
+	// before giving up with an error that wraps ErrTimeout and names the
+	// cap; 0 means the default of 20000.
 	MaxSequences int
 	// Parallelism bounds the worker pool that fans independent semantic-
 	// commutativity queries (each an isolated encoder+solver) across

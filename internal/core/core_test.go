@@ -365,7 +365,7 @@ user{"u5": }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CheckDeterminism(); err != ErrTimeout {
+	if _, err := s.CheckDeterminism(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout, got %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -451,6 +452,8 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 			return nil, err
 		}
 		res.Stats.TotalPaths = stats.TotalPaths
+		// The reduced attempt is part of this check's cost too.
+		res.Stats.Duration = time.Since(start)
 		return res, nil
 	}
 	// POR and the base encoding are exact; an unreplayable model here is a
@@ -911,7 +914,7 @@ func enumerate(wg *graph.Graph[*workNode], r *graph.Reach, en *sym.Encoder, inpu
 		}
 		if len(order) == len(nodes) {
 			if len(outs) >= opts.MaxSequences {
-				return ErrTimeout
+				return fmt.Errorf("%w: more than MaxSequences (%d) linearizations", ErrTimeout, opts.MaxSequences)
 			}
 			outs = append(outs, st)
 			orders = append(orders, append([]graph.Node(nil), order...))

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
@@ -130,5 +131,49 @@ func TestFleetPkgConfigDecided(t *testing.T) {
 			t.Errorf("seed %d: encoded %d linearizations, want the probe's 2", seed, res.Stats.Sequences)
 		}
 		assertReplays(t, sys, res.Counterexample)
+	}
+}
+
+// fallbackNeeded has a witness the fast path cannot repair: the probed
+// pair differs only when postfix is installed without /etc/postfix, and
+// that input makes the eliminated main.cf error in both orders, so the
+// non-deterministic verdict comes from the exact configuration.
+const fallbackNeeded = `
+package {'ntp': ensure => present }
+package {'postfix': ensure => present }
+package {'monit': ensure => present }
+file {'/etc/ntp.conf': content => 'server' }
+file {'/etc/postfix/main.cf': content => 'c', require => Package['postfix'] }
+`
+
+// TestExactFallbackDurationSpansCheck: a check that falls back to the
+// exact configuration still replays its counterexample, and its
+// Stats.Duration covers the reduced attempt as well as the exact re-run.
+// The hook sleeps between the two, so a Duration measured over the
+// re-run alone comes out below the sleep.
+func TestExactFallbackDurationSpansCheck(t *testing.T) {
+	const pause = 50 * time.Millisecond
+	sys, err := core.Load(fallbackNeeded, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := 0
+	defer core.SetExactFallbackTestHook(func() {
+		fallbacks++
+		time.Sleep(pause)
+	})()
+	res, err := sys.CheckDeterminism()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fallbacks != 1 {
+		t.Fatalf("exact fallback taken %d times, want 1", fallbacks)
+	}
+	if res.Deterministic {
+		t.Fatal("verdict deterministic, want non-deterministic")
+	}
+	assertReplays(t, sys, res.Counterexample)
+	if res.Stats.Duration < pause {
+		t.Errorf("Stats.Duration = %v, want at least the %v spent before the exact re-run", res.Stats.Duration, pause)
 	}
 }

@@ -233,35 +233,6 @@ func ParseSpec(spec string) (Config, error) {
 	return cfg, nil
 }
 
-// Spec renders the configuration back into ParseSpec's key=value syntax;
-// the scenario recorder uses it to serialize a live plan into a replayable
-// scenario file. Zero-valued fields are omitted, so for any config that
-// injects something ParseSpec(cfg.Spec()) reproduces cfg (modulo the
-// kinds default, which NewPlan applies identically on both sides).
-func (c Config) Spec() string {
-	var parts []string
-	if c.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", c.Seed))
-	}
-	if c.Rate != 0 {
-		parts = append(parts, "rate="+strconv.FormatFloat(c.Rate, 'g', -1, 64))
-	}
-	if c.Burst != 0 {
-		parts = append(parts, fmt.Sprintf("burst=%d", c.Burst))
-	}
-	if c.Latency != 0 {
-		parts = append(parts, "latency="+c.Latency.String())
-	}
-	if len(c.Kinds) != 0 {
-		names := make([]string, len(c.Kinds))
-		for i, k := range c.Kinds {
-			names[i] = k.String()
-		}
-		parts = append(parts, "kinds="+strings.Join(names, "+"))
-	}
-	return strings.Join(parts, ",")
-}
-
 func kindByName(name string) (Kind, error) {
 	for k, n := range kindNames {
 		if n == name && k != None {

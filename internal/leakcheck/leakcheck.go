@@ -1,7 +1,7 @@
 // Package leakcheck is the shared resource-leak oracle: snapshot the
 // process's goroutine count, open file descriptors and heap before a
 // workload, run it, and assert that everything settled back afterwards.
-// The service, cluster, fault and scenario tests all need the same
+// The service, cluster, fault and end-to-end tests all need the same
 // discipline — "this code path must not strand a goroutine or socket" —
 // and TestSoakNoLeaks (internal/service) adds a heap budget over a
 // zipfian job mix, so the snapshot/settle/diff logic lives here once

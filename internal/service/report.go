@@ -250,7 +250,7 @@ func Classify(err error) *ErrorReport {
 // check passed, 1 a check failed (or the manifest is invalid), 3 the
 // analysis timed out or was canceled, 4 infrastructure failure (retrying
 // may succeed). It lives here — not in cmd/rehearsal — so the CLI and
-// the scenario replayer agree on what each code means.
+// the end-to-end tests (e2e_test.go) agree on what each code means.
 func ExitCode(rep *Report) int {
 	if rep.Error != nil {
 		switch rep.Error.Class {
