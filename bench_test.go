@@ -185,7 +185,8 @@ func BenchmarkFig13Scaling(b *testing.B) {
 }
 
 // BenchmarkBugsFound measures the full section-6 bug-finding pass: check
-// all thirteen benchmarks and verify the six fixes.
+// all thirteen benchmarks and fail unless exactly the six known bugs are
+// found.
 func BenchmarkBugsFound(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.Timeout = time.Minute

@@ -619,7 +619,7 @@ func (s *System) ResourceDigests() map[string]fs.Digest {
 func (s *System) TotalPaths() int {
 	dom := make(fs.PathSet)
 	for _, n := range s.resourceNodes() {
-		dom.AddAll(fs.Dom(s.g.Label(n).orig))
+		dom.AddDom(s.g.Label(n).orig)
 	}
 	return len(dom)
 }

@@ -289,7 +289,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	dom := make(fs.PathSet)
 	for _, n := range nodes {
 		exprs = append(exprs, wg.Label(n).expr)
-		dom.AddAll(fs.Dom(wg.Label(n).expr))
+		dom.AddDom(wg.Label(n).expr)
 	}
 	vocab := sym.NewVocab(dom, exprs...)
 	stats.Paths = len(vocab.Paths)
@@ -436,10 +436,10 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		return &DeterminismResult{Deterministic: false, Counterexample: cex, Stats: stats}, nil
 	}
 
-	// The distinguishing input did not replay on the full graph, not even
-	// after repair: the abstraction introduced by elimination/pruning was
-	// too coarse for this manifest. Fall back to the exact configuration
-	// (POR only).
+	// Neither the distinguishing input nor its survivor-minimal shrink
+	// replayed on the full graph: the abstraction introduced by
+	// elimination/pruning was too coarse for this manifest. Fall back to
+	// the exact configuration (POR only).
 	exact := opts
 	exact.Elimination = false
 	exact.Pruning = false
@@ -486,7 +486,7 @@ func (s *System) poolVocab() *sym.Vocab {
 	for _, n := range s.g.Nodes() {
 		e := s.g.Label(n).expr
 		exprs = append(exprs, e)
-		dom.AddAll(fs.Dom(e))
+		dom.AddDom(e)
 	}
 	return sym.NewVocab(dom, exprs...)
 }
@@ -496,78 +496,103 @@ func (s *System) poolVocab() *sym.Vocab {
 // models and the concrete evaluator. It returns nil when the outcomes do
 // not actually differ.
 //
-// An input that does not diverge on the full graph is repaired once: it is
-// shrunk against the two survivor orders alone and replayed again. The
+// The input is shrunk against the two survivor orders first, which are a
+// handful of resources even when elimination removed a thousand. The
 // solver's input is only constrained on the survivors, and state it holds
 // for no reason can make an eliminated resource error in both full orders,
-// masking the divergence (DESIGN "Replay-validated fast path").
+// masking the divergence (DESIGN "Replay-validated fast path"). The full
+// orders then finish the shrinking from the survivor-minimal input, or
+// from the solver's own input when only that one diverges, so the witness
+// is 1-minimal on the full graph after a few whole-program evaluations.
 func (s *System) replay(wg *graph.Graph[*workNode], eliminated []*workNode, in fs.State, order1, order2 []graph.Node, keepWellFormed bool) *Counterexample {
-	build := func(order []graph.Node, elim []*workNode) ([]string, fs.Expr) {
-		var names []string
-		var exprs []fs.Expr
-		for _, n := range order {
-			if l := wg.Label(n); !l.barrier {
-				names = append(names, l.name)
-				exprs = append(exprs, l.orig)
-			}
-		}
-		for i := len(elim) - 1; i >= 0; i-- {
-			names = append(names, elim[i].name)
-			exprs = append(exprs, elim[i].orig)
-		}
-		return names, fs.SeqAll(exprs...)
+	names1, s1 := survivorSeq(wg, order1)
+	names2, s2 := survivorSeq(wg, order2)
+	var suffixNames []string
+	suffix := make([]fs.Expr, 0, len(eliminated))
+	for i := len(eliminated) - 1; i >= 0; i-- {
+		suffixNames = append(suffixNames, eliminated[i].name)
+		suffix = append(suffix, eliminated[i].orig)
 	}
-	names1, e1 := build(order1, eliminated)
-	names2, e2 := build(order2, eliminated)
-	if !diverges(e1, e2, in) {
-		_, s1 := build(order1, nil)
-		_, s2 := build(order2, nil)
-		in = minimizeInput(s1, s2, in, keepWellFormed)
-		if !diverges(e1, e2, in) {
+	rest := fs.SeqAll(suffix...)
+	e1, e2 := fs.SeqAll(s1, rest), fs.SeqAll(s2, rest)
+
+	m, _ := minimizeInput(s1, s2, in, run(s1, s2, in), keepWellFormed)
+	o := run(e1, e2, m)
+	if !o.differ() {
+		if o = run(e1, e2, in); !o.differ() {
 			return nil
 		}
+		m = in
 	}
-	in = minimizeInput(e1, e2, in, keepWellFormed)
-	out1, ok1 := fs.Eval(e1, in)
-	out2, ok2 := fs.Eval(e2, in)
+	m, o = minimizeInput(e1, e2, m, o, keepWellFormed)
 	return &Counterexample{
-		Input:  in,
-		Order1: names1, Order2: names2,
-		Ok1: ok1, Ok2: ok2,
-		Out1: out1, Out2: out2,
+		Input:  m,
+		Order1: append(names1, suffixNames...),
+		Order2: append(names2, suffixNames...),
+		Ok1:    o.ok1,
+		Ok2:    o.ok2,
+		Out1:   o.out1,
+		Out2:   o.out2,
 	}
 }
 
-// diverges reports whether the two sequenced expressions produce different
-// outcomes from in.
-func diverges(e1, e2 fs.Expr, in fs.State) bool {
-	out1, ok1 := fs.Eval(e1, in)
-	out2, ok2 := fs.Eval(e2, in)
-	if ok1 != ok2 {
-		return true
+// survivorSeq returns the resource names of order and its unpruned models
+// in sequence; barriers are skipped.
+func survivorSeq(wg *graph.Graph[*workNode], order []graph.Node) ([]string, fs.Expr) {
+	var names []string
+	var exprs []fs.Expr
+	for _, n := range order {
+		if l := wg.Label(n); !l.barrier {
+			names = append(names, l.name)
+			exprs = append(exprs, l.orig)
+		}
 	}
-	return ok1 && !out1.Equal(out2)
+	return names, fs.SeqAll(exprs...)
+}
+
+// outcomes are what two sequenced expressions produce from one input.
+type outcomes struct {
+	out1, out2 fs.State
+	ok1, ok2   bool
+}
+
+// run evaluates e1 and e2 from in.
+func run(e1, e2 fs.Expr, in fs.State) outcomes {
+	var o outcomes
+	o.out1, o.ok1 = fs.Eval(e1, in)
+	o.out2, o.ok2 = fs.Eval(e2, in)
+	return o
+}
+
+// differ reports whether the two outcomes are different.
+func (o outcomes) differ() bool {
+	return o.ok1 != o.ok2 || (o.ok1 && !o.out1.Equal(o.out2))
 }
 
 // minimizeInput greedily removes entries from the witness filesystem while
 // the two orders still diverge, so reported counterexamples mention only
 // the state that matters. Removing one entry can unblock another (e.g. a
-// file inside a directory), so the pass repeats until a fixpoint.
-func minimizeInput(e1, e2 fs.Expr, in fs.State, keepWellFormed bool) fs.State {
+// file inside a directory), so the pass repeats until a fixpoint. o is the
+// two orders' outcomes from in; the outcomes from the returned input come
+// back with it.
+func minimizeInput(e1, e2 fs.Expr, in fs.State, o outcomes, keepWellFormed bool) (fs.State, outcomes) {
 	min := in.Clone()
 	for changed := true; changed; {
 		changed = false
 		for _, p := range min.Paths() {
 			saved := min[p]
 			delete(min, p)
-			if diverges(e1, e2, min) && (!keepWellFormed || min.IsWellFormed()) {
-				changed = true
-				continue
+			if !keepWellFormed || min.IsWellFormed() {
+				if r := run(e1, e2, min); r.differ() {
+					o = r
+					changed = true
+					continue
+				}
 			}
 			min[p] = saved
 		}
 	}
-	return min
+	return min, o
 }
 
 // eliminate removes fringe resources (no dependents) that commute with

@@ -152,3 +152,7 @@ func SetExactFallbackTestHook(f func()) (restore func()) {
 	exactFallbackTestHook = f
 	return func() { exactFallbackTestHook = nil }
 }
+
+// WitnessManifests are small non-deterministic manifests whose
+// counterexamples the external tests check for minimality.
+var WitnessManifests = []string{fig3aBroken, introExample, sshKeyBug}

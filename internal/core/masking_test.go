@@ -55,6 +55,29 @@ func checkWithoutFallback(t *testing.T, src string) (*core.System, *core.Determi
 // outcomes from its input.
 func assertReplays(t *testing.T, sys *core.System, cex *core.Counterexample) {
 	t.Helper()
+	e1, e2 := replayExprs(t, sys, cex)
+	out1, ok1 := fs.Eval(e1, cex.Input)
+	out2, ok2 := fs.Eval(e2, cex.Input)
+	if ok1 != cex.Ok1 || ok2 != cex.Ok2 || (ok1 && !out1.Equal(cex.Out1)) || (ok2 && !out2.Equal(cex.Out2)) {
+		t.Fatalf("replay from %s does not reproduce the reported outcomes", fs.StateString(cex.Input))
+	}
+	if !diverges(e1, e2, cex.Input) {
+		t.Fatalf("orders do not diverge from %s", fs.StateString(cex.Input))
+	}
+}
+
+// diverges reports whether e1 and e2 produce different outcomes from in.
+func diverges(e1, e2 fs.Expr, in fs.State) bool {
+	out1, ok1 := fs.Eval(e1, in)
+	out2, ok2 := fs.Eval(e2, in)
+	return ok1 != ok2 || (ok1 && !out1.Equal(out2))
+}
+
+// replayExprs checks that cex's orders are linearizations of sys's full
+// resource graph and returns each as one sequenced expression of the
+// unpruned resource models.
+func replayExprs(t *testing.T, sys *core.System, cex *core.Counterexample) (fs.Expr, fs.Expr) {
+	t.Helper()
 	if cex == nil {
 		t.Fatal("non-deterministic verdict without a counterexample")
 	}
@@ -89,14 +112,7 @@ func assertReplays(t *testing.T, sys *core.System, cex *core.Counterexample) {
 		}
 		return fs.SeqAll(exprs...)
 	}
-	out1, ok1 := fs.Eval(seq(cex.Order1), cex.Input)
-	out2, ok2 := fs.Eval(seq(cex.Order2), cex.Input)
-	if ok1 != cex.Ok1 || ok2 != cex.Ok2 || (ok1 && !out1.Equal(cex.Out1)) || (ok2 && !out2.Equal(cex.Out2)) {
-		t.Fatalf("replay from %s does not reproduce the reported outcomes", fs.StateString(cex.Input))
-	}
-	if ok1 == ok2 && (!ok1 || out1.Equal(out2)) {
-		t.Fatalf("orders do not diverge from %s", fs.StateString(cex.Input))
-	}
+	return seq(cex.Order1), seq(cex.Order2)
 }
 
 // TestErrorMaskedWitnessRepaired: a witness that an eliminated resource

@@ -6,45 +6,6 @@ import (
 	"repro/internal/fs"
 )
 
-// Counterexample inputs are minimized: removing any single entry must stop
-// the divergence.
-func TestCounterexampleMinimal(t *testing.T) {
-	for _, src := range []string{fig3aBroken, introExample, sshKeyBug} {
-		s := load(t, src)
-		res := checkDet(t, s)
-		if res.Deterministic {
-			t.Fatal("expected non-deterministic")
-		}
-		cex := res.Counterexample
-		// Rebuild the two sequenced expressions from the reported orders.
-		g := s.ExprGraph()
-		names := s.ResourceNames()
-		byName := map[string]fs.Expr{}
-		for i, n := range g.Nodes() {
-			byName[names[i]] = g.Label(n)
-		}
-		seq := func(order []string) fs.Expr {
-			var exprs []fs.Expr
-			for _, n := range order {
-				exprs = append(exprs, byName[n])
-			}
-			return fs.SeqAll(exprs...)
-		}
-		e1, e2 := seq(cex.Order1), seq(cex.Order2)
-		if !diverges(e1, e2, cex.Input) {
-			t.Fatalf("witness does not diverge: %s", fs.StateString(cex.Input))
-		}
-		for _, p := range cex.Input.Paths() {
-			reduced := cex.Input.Clone()
-			delete(reduced, p)
-			if diverges(e1, e2, reduced) {
-				t.Errorf("witness not minimal: %s is removable from %s",
-					p, fs.StateString(cex.Input))
-			}
-		}
-	}
-}
-
 // WellFormedInit restricts witnesses to realizable machines and never
 // changes the verdict on the benchmark examples (their bugs manifest on
 // well-formed states).

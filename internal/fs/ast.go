@@ -257,6 +257,9 @@ func Dom(e Expr) PathSet {
 	return s
 }
 
+// AddDom inserts Dom(e) into s without building it as a set of its own.
+func (s PathSet) AddDom(e Expr) { addDom(e, s) }
+
 func addDom(e Expr, s PathSet) {
 	switch e := e.(type) {
 	case Mkdir:

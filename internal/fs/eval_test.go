@@ -196,6 +196,24 @@ func TestEvalPreservesWellFormedness(t *testing.T) {
 	}
 }
 
+// AddDom accumulates the same set as the union of each expression's Dom.
+func TestAddDom(t *testing.T) {
+	exprs := []Expr{Mkdir{"/a/b"}, Rm{"/c"}, If{IsEmptyDir{"/d"}, Creat{"/d/f", "x"}, Err{}}, Cp{"/s", "/a/u"}}
+	want, got := make(PathSet), make(PathSet)
+	for _, e := range exprs {
+		want.AddAll(Dom(e))
+		got.AddDom(e)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("AddDom union %v, want %v", got.Sorted(), want.Sorted())
+	}
+	for p := range want {
+		if !got.Has(p) {
+			t.Errorf("AddDom union misses %q", p)
+		}
+	}
+}
+
 func TestDom(t *testing.T) {
 	e := SeqAll(
 		Mkdir{"/a/b"},

@@ -57,11 +57,16 @@ func countFDs() int {
 	return len(ents) - 1
 }
 
-// Opts tunes a Settle check; the zero value is the strict default every
-// in-repo caller wants.
+// DefaultGoroutineSlack is the goroutine slack Assert allows: runtime and
+// net/http helpers churn a little after most workloads.
+const DefaultGoroutineSlack = 3
+
+// Opts tunes a Settle check; the zero value is strict: no goroutine or
+// descriptor may outlive the workload.
 type Opts struct {
 	// GoroutineSlack is how many goroutines above base still count as
-	// settled; 0 means 3 (runtime and net/http helpers churn a little).
+	// settled. 0 means 0: a workload that keeps no connection alive can
+	// ask for every goroutine back.
 	GoroutineSlack int
 	// FDSlack is how many descriptors above base still count as settled.
 	// 0 means 0: sockets and files must all be returned.
@@ -75,9 +80,6 @@ type Opts struct {
 }
 
 func (o Opts) withDefaults() Opts {
-	if o.GoroutineSlack <= 0 {
-		o.GoroutineSlack = 3
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Second
 	}
@@ -153,11 +155,11 @@ func joinProblems(ps []string) string {
 
 // Assert is the test-side entry point: call with a snapshot taken before
 // the workload; it fails the test with the settle diagnostic when the
-// workload leaked. Defaults match the historical per-test loops (5s
-// deadline, small goroutine slack, fds exact).
+// workload leaked. It allows DefaultGoroutineSlack goroutines, no extra
+// descriptors, and waits up to 5s.
 func Assert(t testing.TB, base Snapshot) {
 	t.Helper()
-	AssertOpts(t, base, Opts{})
+	AssertOpts(t, base, Opts{GoroutineSlack: DefaultGoroutineSlack})
 }
 
 // AssertOpts is Assert with explicit tolerances.

@@ -19,10 +19,17 @@ func TestSettleCleanWorkload(t *testing.T) {
 	}
 }
 
+// release ends the goroutines blocked on hang and waits until they are
+// gone, so the next test's base snapshot does not count them.
+func release(base Snapshot, hang chan struct{}) {
+	close(hang)
+	Settle(base, Opts{})
+}
+
 func TestSettleReportsStrandedGoroutine(t *testing.T) {
 	base := Take()
 	hang := make(chan struct{})
-	defer close(hang)
+	defer release(base, hang)
 	for i := 0; i < 8; i++ {
 		go func() { <-hang }()
 	}
@@ -35,6 +42,21 @@ func TestSettleReportsStrandedGoroutine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "leakcheck_test.go") {
 		t.Errorf("diagnostic should include a stack dump naming this file: %v", err)
+	}
+}
+
+// A single stranded goroutine hides inside the default slack; zero slack,
+// the zero value, reports it.
+func TestZeroSlackReportsOneGoroutine(t *testing.T) {
+	base := Take()
+	hang := make(chan struct{})
+	defer release(base, hang)
+	go func() { <-hang }()
+	if err := Settle(base, Opts{GoroutineSlack: DefaultGoroutineSlack, Timeout: 200 * time.Millisecond}); err != nil {
+		t.Fatalf("one goroutine exceeded the default slack: %v", err)
+	}
+	if err := Settle(base, Opts{Timeout: 200 * time.Millisecond}); err == nil {
+		t.Fatal("zero slack did not report the stranded goroutine")
 	}
 }
 
@@ -84,7 +106,7 @@ func TestAssertAdapter(t *testing.T) {
 		t.Fatal("Assert failed on a settled process")
 	}
 	hang := make(chan struct{})
-	defer close(hang)
+	defer release(base, hang)
 	for i := 0; i < 8; i++ {
 		go func() { <-hang }()
 	}

@@ -34,11 +34,14 @@ type pkgServer struct {
 // call bound budgets. The client tries each request attempts times (0: the
 // client default) with millisecond backoff and keeps no connection alive,
 // so net/http cannot replay a request on a dead connection and spend a
-// fault-plan decision by itself. The leak check spans the server's life.
+// fault-plan decision by itself. The leak check spans the server's life
+// and allows no goroutine slack: with no connection kept alive, every
+// goroutine a request starts must be gone once the servers close, so a
+// leak of one per request fails the test.
 func startPkgServer(t *testing.T, plan *faults.Plan, attempts int) *pkgServer {
 	t.Helper()
 	base := leakcheck.Take()
-	t.Cleanup(func() { leakcheck.Assert(t, base) })
+	t.Cleanup(func() { leakcheck.AssertOpts(t, base, leakcheck.Opts{GoroutineSlack: 0}) })
 	p := &pkgServer{}
 	h := faults.Middleware(plan, pkgdb.Handler(pkgdb.DefaultCatalog()))
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -229,7 +229,7 @@ func TestSoakNoLeaks(t *testing.T) {
 	}
 
 	runtime.GC()
-	if err := leakcheck.Settle(base, leakcheck.Opts{HeapBudget: soakHeapBudget, Timeout: 15 * time.Second}); err != nil {
+	if err := leakcheck.Settle(base, leakcheck.Opts{GoroutineSlack: leakcheck.DefaultGoroutineSlack, HeapBudget: soakHeapBudget, Timeout: 15 * time.Second}); err != nil {
 		t.Fatalf("after %d submissions %v: %v", len(reqs), kinds, err)
 	}
 }

@@ -90,7 +90,7 @@ func (m *Metrics) Counters() sat.Counters {
 // determinacy engine (internal/core) fans them across a worker pool.
 func Equiv(e1, e2 fs.Expr, opts Options) (bool, *Counterexample, error) {
 	dom := fs.Dom(e1)
-	dom.AddAll(fs.Dom(e2))
+	dom.AddDom(e2)
 	v := NewVocab(dom, e1, e2)
 	en := NewEncoder(v)
 	if opts.Metrics != nil {
