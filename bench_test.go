@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/experiments"
-	"repro/internal/pkgdb"
 	"repro/internal/qcache"
 )
 
@@ -140,25 +139,6 @@ func BenchmarkFig12Idempotence(b *testing.B) {
 	}
 }
 
-// fig13Manifest builds the paper's synthetic worst case: n conflicting
-// packages all creating /opt/a, forced deterministic by a final file
-// resource — the solver must prove unsatisfiability over n! orders.
-func fig13Manifest(n int) (string, pkgdb.Provider) {
-	catalog := pkgdb.DefaultCatalog()
-	manifest := ""
-	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("conflict-a-%d", i)
-		catalog.Add("ubuntu", &pkgdb.Package{
-			Name:    name,
-			Version: "1.0",
-			Files:   []string{"/opt/a", fmt.Sprintf("/opt/own-%d", i)},
-		})
-		manifest += fmt.Sprintf("package{'%s': before => File['/opt/a'] }\n", name)
-	}
-	manifest += "file{'/opt/a': content => 'x' }\n"
-	return manifest, catalog
-}
-
 // BenchmarkFig13Scaling measures the deliberate worst case of figure 13
 // for n = 2..6 interfering resources; the time grows super-linearly with
 // the factorial number of linearizations.
@@ -166,7 +146,7 @@ func BenchmarkFig13Scaling(b *testing.B) {
 	for n := 2; n <= 6; n++ {
 		n := n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			manifest, provider := fig13Manifest(n)
+			manifest, provider := experiments.Fig13Manifest(n)
 			opts := core.DefaultOptions()
 			opts.Provider = provider
 			opts.MaxSequences = 1000000

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -127,10 +129,14 @@ func TestInvariantFlag(t *testing.T) {
 	if code != 1 || !strings.Contains(out, "FAIL") {
 		t.Errorf("violated invariant: exit %d output:\n%s", code, out)
 	}
-	// Malformed invariant flag.
-	code, _ = runCapture(t, "-invariant", "missing-equals", writeManifest(t, okManifest))
-	if code != 2 {
-		t.Errorf("malformed invariant: exit %d", code)
+	// A malformed invariant flag is a usage error caught before any check
+	// runs, in text and JSON mode alike.
+	for _, mode := range [][]string{nil, {"-json"}} {
+		args := append(append([]string{}, mode...), "-invariant", "missing-equals", writeManifest(t, okManifest))
+		code, out, errOut := runCapture2(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "-invariant must be path=content") {
+			t.Errorf("malformed invariant %v: exit %d, want 2 with no checks run; stdout:\n%s\nstderr:\n%s", mode, code, out, errOut)
+		}
 	}
 }
 
@@ -228,6 +234,30 @@ case $operatingsystem {
 	}
 	if strings.Count(out, "determinism: OK") != 2 {
 		t.Errorf("expected two verdicts:\n%s", out)
+	}
+	// With -json, stdout holds only the reports, one per platform in order.
+	code, out = runCapture(t, "-json", "-all-platforms", writeManifest(t, okManifest))
+	if code != 0 {
+		t.Fatalf("-json: exit %d:\n%s", code, out)
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	var platforms []string
+	for {
+		var rep service.Report
+		err := dec.Decode(&rep)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("-json stdout is not a stream of reports: %v\n%s", err, out)
+		}
+		if rep.Verdict != service.VerdictPass {
+			t.Errorf("%s report: %+v", rep.Platform, rep)
+		}
+		platforms = append(platforms, rep.Platform)
+	}
+	if strings.Join(platforms, ",") != "ubuntu,centos" {
+		t.Errorf("report platforms = %v, want [ubuntu centos]", platforms)
 	}
 	// A manifest that is fine on ubuntu but references a package missing
 	// on centos fails only there.
@@ -566,9 +596,11 @@ func TestDiffMode(t *testing.T) {
 		}
 	}
 
-	// The diff run's report must be byte-identical to an independent full
-	// verification of head.
-	code, fullOut := runCapture(t, "-semantic-commute", "-skip-idempotence", head)
+	// The diff run's report must be byte-identical to a full verification
+	// of head. The full run reads the same cache directory, so it decides
+	// every pair from disk without the diff partition (and without paying
+	// for three more solver queries).
+	code, fullOut := runCapture(t, "-semantic-commute", "-skip-idempotence", "-cache-dir", cache, head)
 	if code != 0 || !strings.Contains(fullOut, "determinism: OK") {
 		t.Fatalf("full head run: exit %d:\n%s", code, fullOut)
 	}
@@ -603,11 +635,78 @@ func TestDiffJSON(t *testing.T) {
 	if rep.Stats.DiffChanged != 1 || rep.Stats.DiffUnchanged != 2 {
 		t.Errorf("diff partition: changed=%d unchanged=%d", rep.Stats.DiffChanged, rep.Stats.DiffUnchanged)
 	}
-	// The changed pairs may come back warm from the process-wide memory
-	// cache (earlier tests in this binary solve them); warm changed pairs
-	// count in neither bucket, so only bound the re-verified count.
-	if rep.Stats.PairsReused != 1 || rep.Stats.PairsReverified > 2 || rep.Stats.InheritMisses != 0 {
+	// Each run has its own substrate, so the diff run starts with a cold
+	// memory tier: the unchanged pair comes from disk, the two changed
+	// pairs from the solver.
+	if rep.Stats.PairsReused != 1 || rep.Stats.PairsReverified != 2 || rep.Stats.InheritMisses != 0 {
 		t.Errorf("pair accounting: reused=%d reverified=%d misses=%d",
 			rep.Stats.PairsReused, rep.Stats.PairsReverified, rep.Stats.InheritMisses)
+	}
+}
+
+// countFiles counts the regular files under dir.
+func countFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCacheDirScopedToRun: -cache-dir attaches the disk tier to one run's
+// substrate only. A later run in the same process without -cache-dir
+// must not write its verdicts into that directory.
+func TestCacheDirScopedToRun(t *testing.T) {
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	// gcc depends on make and ocaml on m4, so each manifest's one pair
+	// conflicts syntactically and costs a solver query; the pairs differ.
+	first := writeManifestNamed(t, dir, "first.pp", "package {'make': ensure => present }\npackage {'gcc': ensure => present }\n")
+	second := writeManifestNamed(t, dir, "second.pp", "package {'m4': ensure => present }\npackage {'ocaml': ensure => present }\n")
+
+	if code, out, errOut := runCapture2(t, "-semantic-commute", "-skip-idempotence", "-cache-dir", cache, first); code != 0 {
+		t.Fatalf("run with -cache-dir: exit %d:\n%s\n%s", code, out, errOut)
+	}
+	before := countFiles(t, cache)
+	if before == 0 {
+		t.Fatal("run with -cache-dir wrote no verdict files")
+	}
+	code, out, errOut := runCapture2(t, "-semantic-commute", "-skip-idempotence", "-v", second)
+	if code != 0 {
+		t.Fatalf("run without -cache-dir: exit %d:\n%s\n%s", code, out, errOut)
+	}
+	if !strings.Contains(out, "solver-queries=") || strings.Contains(out, "solver-queries=0 ") {
+		t.Fatalf("second run solved no new pairs, so it cannot show a leak:\n%s", out)
+	}
+	if after := countFiles(t, cache); after != before {
+		t.Errorf("a run without -cache-dir changed the cache directory: %d -> %d files", before, after)
+	}
+}
+
+// TestTimeoutExitCode: a check that runs out of time exits 3, labelled by
+// the stage in text mode and by the error class in JSON mode.
+func TestTimeoutExitCode(t *testing.T) {
+	path := writeManifest(t, okManifest)
+	code, out := runCapture(t, "-timeout", "1ns", path)
+	if code != 3 || !strings.Contains(out, "determinism: TIMEOUT") {
+		t.Errorf("text: exit %d, want 3 and a TIMEOUT line:\n%s", code, out)
+	}
+	code, out = runCapture(t, "-json", "-timeout", "1ns", path)
+	if code != 3 {
+		t.Errorf("json: exit %d, want 3:\n%s", code, out)
+	}
+	var rep service.Report
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("stdout is not one JSON report: %v\n%s", err, out)
+	}
+	if rep.Error == nil || rep.Error.Class != service.ClassTimeout {
+		t.Errorf("json error = %+v, want class %q", rep.Error, service.ClassTimeout)
 	}
 }

@@ -105,13 +105,6 @@ type Options struct {
 	// differential tests enforce it); the fresh path exists as the
 	// baseline for those tests and for the incremental benchmark.
 	FreshSolvers bool
-	// CacheDir enables the on-disk verdict tier (internal/qcache's Disk):
-	// semantic-commutativity verdicts computed by this process are written
-	// to the directory and later runs pointed at the same directory start
-	// warm, answering repeated queries with zero solver work. The store is
-	// versioned by the digest/encoder/solver scheme and bounded by a byte
-	// budget; empty (production default) keeps the cache memory-only.
-	CacheDir string
 }
 
 // DefaultOptions enables every analysis, matching the configuration the

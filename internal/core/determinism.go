@@ -13,7 +13,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/graph"
 	"repro/internal/prune"
-	"repro/internal/qcache"
 	"repro/internal/sat"
 	"repro/internal/smt"
 	"repro/internal/sym"
@@ -68,7 +67,8 @@ type Stats struct {
 	// the snapshot.
 	EncodeMemoHits int64
 	// DiskCacheHits counts semantic-commutativity decisions answered by
-	// the on-disk verdict tier (0 without Options.CacheDir).
+	// the on-disk verdict tier (0 unless the options are bound to a
+	// Substrate built with SubstrateConfig.CacheDir).
 	DiskCacheHits int
 	// RemoteCacheHits counts semantic-commutativity decisions answered by
 	// the cluster verdict ring (0 without a remote tier attached — i.e.
@@ -170,7 +170,7 @@ func (s *System) CheckDeterminism() (*DeterminismResult, error) {
 // full soundness, but the pairwise commutativity matrix is partitioned by
 // the resource-level delta against base — pairs of digest-unchanged
 // resources inherit the base run's verdicts from the warm content-
-// addressed tiers (memory cache or the CacheDir disk tier) with zero
+// addressed tiers (memory cache or the substrate's disk tier) with zero
 // solver work, and only pairs touching a changed or added resource enter
 // the worker pool. The verdict is identical to head.CheckDeterminism()
 // at any delta: inheritance is content-addressed (identical models →
@@ -225,16 +225,6 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	if delta != nil {
 		stats.DiffChanged = len(delta.Changed) + len(delta.Added)
 		stats.DiffUnchanged = len(delta.Unchanged)
-	}
-
-	// Second verdict tier: persist this check's semantic-commutativity
-	// verdicts and warm-start from verdicts earlier processes left behind.
-	if opts.CacheDir != "" {
-		disk, err := qcache.OpenDiskShared(opts.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		cc.cache.AttachDisk(disk)
 	}
 
 	// Incremental solving: route this check's semantic queries through a

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
-	"repro/internal/qcache"
 )
 
 // TestWarmDiskCache: a second check suite pointed at the same cache
@@ -18,7 +17,6 @@ func TestWarmDiskCache(t *testing.T) {
 	base := core.DefaultOptions()
 	base.SemanticCommute = true
 	base.Timeout = time.Minute
-	base.CacheDir = dir
 
 	type outcome struct {
 		v       verdict
@@ -27,9 +25,13 @@ func TestWarmDiskCache(t *testing.T) {
 	}
 	run := func(t *testing.T, source string) outcome {
 		t.Helper()
-		opts := base
-		opts.SharedQueryCache = qcache.New() // fresh memory tier each run
-		s, err := core.Load(source, opts)
+		// A fresh substrate over the same directory: a cold memory tier
+		// in front of the warm disk tier, as in a new process.
+		sub, err := core.NewSubstrate(core.SubstrateConfig{CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.Load(source, sub.Bind(base))
 		if err != nil {
 			t.Fatal(err)
 		}

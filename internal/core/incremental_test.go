@@ -186,6 +186,6 @@ package {'spamassassin': ensure => present }
 		t.Errorf("%d semantic queries at 1 worker but no encode-memo hits", res.Stats.SemQueries)
 	}
 	if res.Stats.DiskCacheHits != 0 {
-		t.Errorf("DiskCacheHits = %d without CacheDir", res.Stats.DiskCacheHits)
+		t.Errorf("DiskCacheHits = %d without a disk tier", res.Stats.DiskCacheHits)
 	}
 }

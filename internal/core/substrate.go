@@ -28,7 +28,8 @@ import (
 type SubstrateConfig struct {
 	// CacheDir, when non-empty, attaches the on-disk verdict tier: semantic-
 	// commutativity verdicts survive process restarts, so a redeployed
-	// daemon starts warm.
+	// daemon or a later CLI run starts warm. It is the only way to attach
+	// a disk tier.
 	CacheDir string
 	// QueryCacheCap bounds the in-memory verdict cache; 0 means
 	// qcache.DefaultCap, < 0 unbounded.
@@ -84,13 +85,11 @@ func NewSubstrate(cfg SubstrateConfig) (*Substrate, error) {
 }
 
 // Bind returns opts wired to the substrate's warm state: the shared
-// verdict cache (with the disk tier already attached, so opts.CacheDir is
-// cleared rather than re-opened per check) and, unless the options name
-// their own, the shared provider. Everything else in opts is preserved, so
+// verdict cache (with the disk tier, if any, attached) and, unless the
+// options name their own, the shared provider. Everything else in opts is preserved, so
 // per-job knobs — platform, timeout, context, parallelism — keep working.
 func (s *Substrate) Bind(opts Options) Options {
 	opts.SharedQueryCache = s.cache
-	opts.CacheDir = "" // the disk tier is attached to the substrate cache
 	if opts.Provider == nil {
 		opts.Provider = s.provider
 	}

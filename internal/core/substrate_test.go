@@ -159,16 +159,12 @@ func TestSubstrateBindPreservesKnobs(t *testing.T) {
 	opts.Platform = "centos"
 	opts.Parallelism = 7
 	opts.Timeout = 42 * time.Second
-	opts.CacheDir = "/should/be/cleared"
 	bound := sub.Bind(opts)
 	if bound.Platform != "centos" || bound.Parallelism != 7 || bound.Timeout != 42*time.Second {
 		t.Errorf("Bind clobbered per-job knobs: %+v", bound)
 	}
 	if bound.SharedQueryCache == nil {
 		t.Error("Bind must attach the shared query cache")
-	}
-	if bound.CacheDir != "" {
-		t.Error("Bind must clear CacheDir (the disk tier lives on the substrate)")
 	}
 	if !sub.ProviderHealthy() {
 		t.Error("a substrate without a client provider is always healthy")

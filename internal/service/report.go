@@ -1,7 +1,8 @@
 package service
 
 // The verification report: one JSON document per manifest, produced
-// identically by the daemon's workers and the CLI's -json mode. Everything
+// identically by the daemon's workers and the CLI, whose text mode
+// renders the same report. Everything
 // a caller needs is structured — verdicts, witnesses, repair suggestions,
 // engine statistics, and typed failure reasons (a dependency cycle names
 // its resources instead of burying them in a message string).
@@ -221,9 +222,9 @@ func statsJSON(s core.Stats) *StatsReport {
 	}
 }
 
-// Classify maps a check error to its structured class, mirroring the CLI's
-// exit-code classes (timeout/interrupt 3, infrastructure 4, everything
-// else a manifest-class failure).
+// Classify maps a check error to its structured class; ExitCode turns the
+// class into the CLI's exit code (timeout/interrupt 3, infrastructure 4,
+// everything else a manifest-class failure, 1).
 func Classify(err error) *ErrorReport {
 	if err == nil {
 		return nil
@@ -269,8 +270,8 @@ func ExitCode(rep *Report) int {
 // BuildReport loads and verifies one manifest under the (already
 // substrate-bound, context-carrying) options, running the checks the
 // request names. It never returns an error: failures land in the report's
-// Error field with a typed class, so daemon workers and the CLI's -json
-// mode share one code path and one output shape.
+// Error field with a typed class, so daemon workers and the CLI (both its
+// -json and its text mode) share one code path and one output shape.
 func BuildReport(req JobRequest, opts core.Options) *Report {
 	req = req.Normalize()
 	rep := &Report{Platform: req.Platform, Verdict: VerdictPass}
