@@ -143,7 +143,7 @@ func (s *System) CheckFileInvariant(path fs.Path, content string) (*InvariantRes
 		en.S.EnumEq(got.Kind, want.Kind),
 		en.S.EnumEq(got.Content, want.Content),
 	)
-	en.S.Assert(en.S.And(out.Ok, en.S.Not(holds)))
+	en.S.Assert(en.S.And(en.Ok(out), en.S.Not(holds)))
 	switch en.S.Check() {
 	case sat.Unsat:
 		return &InvariantResult{Holds: true, Duration: time.Since(start)}, nil

@@ -33,7 +33,36 @@ func MakePath(components ...string) Path {
 
 // ParsePath normalizes a textual path: collapses repeated slashes, removes
 // trailing slashes and resolves "." components. It does not resolve "..".
+// A path that is already normal is returned as it is, without allocating.
 func ParsePath(s string) Path {
+	if isNormal(s) {
+		return Path(s)
+	}
+	return splitJoin(s)
+}
+
+// isNormal reports whether s is a normalized non-root path: it starts
+// with "/", does not end with "/", and has no empty and no "." component.
+// splitJoin returns such an s unchanged.
+func isNormal(s string) bool {
+	if len(s) < 2 || s[0] != '/' || s[len(s)-1] == '/' {
+		return false
+	}
+	start := 1
+	for i := 1; i <= len(s); i++ {
+		if i == len(s) || s[i] == '/' {
+			if c := s[start:i]; c == "" || c == "." {
+				return false
+			}
+			start = i + 1
+		}
+	}
+	return true
+}
+
+// splitJoin normalizes s by splitting it at every "/" and joining the
+// components that are neither empty nor ".".
+func splitJoin(s string) Path {
 	parts := strings.Split(s, "/")
 	out := make([]string, 0, len(parts))
 	for _, part := range parts {

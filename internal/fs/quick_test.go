@@ -49,6 +49,34 @@ func TestQuickParsePathIdempotent(t *testing.T) {
 	}
 }
 
+// TestQuickParsePathFastPath checks that returning an already-normal
+// path unchanged agrees with splitting and joining it, on messy, normal
+// and arbitrary strings and on the edge cases of the normality test.
+func TestQuickParsePathFastPath(t *testing.T) {
+	same := func(s string) bool { return ParsePath(s) == splitJoin(s) }
+	for _, s := range []string{"", "/", "//", "/.", "/./", "/a/", "/a//b", "/a/./b", "/a/.",
+		"/./a", "a", "a/b", ".", "./a", "/a/..", "/..", "/.a", "/a.", "/a/b"} {
+		if !same(s) {
+			t.Errorf("ParsePath(%q) = %q, split and join gives %q", s, ParsePath(s), splitJoin(s))
+		}
+	}
+	for _, f := range []any{
+		func(s genPathString) bool { return same(string(s)) },
+		func(p genPath) bool { return same(string(p)) && isNormal(string(p)) },
+		func(b []byte) bool {
+			for i := range b {
+				b[i] = "/.a"[b[i]%3]
+			}
+			return same(string(b))
+		},
+		same,
+	} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func TestQuickParentJoinInverse(t *testing.T) {
 	f := func(gp genPath) bool {
 		p := Path(gp)

@@ -273,7 +273,7 @@ func markerPath(name string) fs.Path { return PkgMarkerDir.Join(name) }
 // directory tree root-first, then every file with unique content, then the
 // installed marker.
 func installPackageFiles(p *pkgdb.Package) fs.Expr {
-	var parts []fs.Expr
+	parts := make([]fs.Expr, 0, len(p.Dirs)+len(p.Files)+1)
 	for _, d := range p.Dirs {
 		parts = append(parts, fs.MkdirIfMissing(fs.ParsePath(d)))
 	}

@@ -25,18 +25,35 @@ type chunk [stateChunk]PathState
 // array indexed by each path's position in the Vocab, split into
 // fixed-size chunks that states share copy-on-write: updating one path
 // copies the one chunk holding it, and merging two branch states reuses
-// every chunk the branches left identical. States are immutable;
-// Encoder.Apply returns new states.
+// every chunk the branches left identical.
+//
+// The ok formula is kept as a materialized term base conjoined with a
+// persistent list of pending guards: a step appends its guards in O(1)
+// and states share the list's tail, so a chain of n steps builds no
+// conjunction until Encoder.Ok observes it, and then builds one.
+//
+// States are immutable to callers; Encoder.Apply returns new states. The
+// one write after construction is Encoder.Ok replacing base and pending
+// with the conjunction it built, which leaves the formula unchanged. That
+// memo is encoder-local: a state is only ever read through the encoder
+// that built it, and an encoder is used by one goroutine at a time.
 type State struct {
-	Ok     smt.T
-	v      *Vocab
-	chunks []*chunk
+	base    smt.T
+	pending *guard
+	v       *Vocab
+	chunks  []*chunk
 }
 
-// newState returns a state over v's domain whose path states come from
-// init, called once per path in domain order.
-func newState(v *Vocab, ok smt.T, init func(p fs.Path) PathState) *State {
-	st := &State{Ok: ok, v: v, chunks: make([]*chunk, (len(v.Paths)+stateChunk-1)/stateChunk)}
+// guard is one cell of a state's pending-guard list.
+type guard struct {
+	t    smt.T
+	next *guard
+}
+
+// newState returns a state over v's domain whose ok formula is true and
+// whose path states come from init, called once per path in domain order.
+func newState(v *Vocab, init func(p fs.Path) PathState) *State {
+	st := &State{base: smt.TrueT, v: v, chunks: make([]*chunk, (len(v.Paths)+stateChunk-1)/stateChunk)}
 	for k := range st.chunks {
 		st.chunks[k] = new(chunk)
 	}
@@ -60,24 +77,52 @@ func (st *State) index(p fs.Path) int {
 	return i
 }
 
-func (st *State) with(p fs.Path, ps PathState) *State {
+// with returns st with p's state replaced by ps and guards gs added to
+// its ok formula. A false guard makes the ok formula false, which drops
+// the pending list; a true one adds nothing.
+func (st *State) with(p fs.Path, ps PathState, gs ...smt.T) *State {
 	i := st.index(p)
 	chunks := make([]*chunk, len(st.chunks))
 	copy(chunks, st.chunks)
 	c := *chunks[i/stateChunk]
 	c[i%stateChunk] = ps
 	chunks[i/stateChunk] = &c
-	return &State{Ok: st.Ok, v: st.v, chunks: chunks}
+	out := &State{base: st.base, pending: st.pending, v: st.v, chunks: chunks}
+	for _, g := range gs {
+		switch {
+		case out.base == smt.FalseT || g == smt.TrueT:
+		case g == smt.FalseT:
+			out.base, out.pending = smt.FalseT, nil
+		default:
+			out.pending = &guard{t: g, next: out.pending}
+		}
+	}
+	return out
 }
 
-func (st *State) withOk(ok smt.T) *State {
-	return &State{Ok: ok, v: st.v, chunks: st.chunks}
+// Ok returns st's ok formula: the conjunction of its base and pending
+// guards, built once and memoized on st. The conjunction has the argument
+// set a step-by-step chain of And calls reaches (smt's And flattens,
+// sorts and deduplicates), without that chain's intermediate gates.
+func (en *Encoder) Ok(st *State) smt.T {
+	if st.pending == nil {
+		return st.base
+	}
+	args := append(en.okArgs[:0], st.base)
+	for g := st.pending; g != nil; g = g.next {
+		args = append(args, g.t)
+	}
+	en.okArgs = args
+	st.base, st.pending = en.S.And(args...), nil
+	return st.base
 }
 
 // Encoder translates FS expressions into formulas over a Solver.
 type Encoder struct {
 	S *smt.Solver
 	V *Vocab
+	// okArgs is Ok's reused argument buffer.
+	okArgs []smt.T
 }
 
 // NewEncoder creates an encoder for the vocabulary using a fresh solver.
@@ -89,7 +134,7 @@ func NewEncoder(v *Vocab) *Encoder {
 // path and the constant initial-content token ι_p. Contents need no
 // variables — they are only moved around by the program, never branched on.
 func (en *Encoder) FreshInputState(prefix string) *State {
-	return newState(en.V, smt.TrueT, func(p fs.Path) PathState {
+	return newState(en.V, func(p fs.Path) PathState {
 		return PathState{
 			Kind:    en.S.EnumVar(en.V.KindSort, fmt.Sprintf("%s:kind:%s", prefix, p)),
 			Content: en.S.EnumConst(en.V.ContentSort, en.V.InitToken(p)),
@@ -101,7 +146,7 @@ func (en *Encoder) FreshInputState(prefix string) *State {
 // Paths of the domain absent from s are encoded as does-not-exist; file
 // contents must be literals of the vocabulary or concretized init tokens.
 func (en *Encoder) ConstState(s fs.State) *State {
-	return newState(en.V, smt.TrueT, func(p fs.Path) PathState {
+	return newState(en.V, func(p fs.Path) PathState {
 		kind := KindNone
 		tok := canonicalToken
 		if c, ok := s[p]; ok {
@@ -192,38 +237,27 @@ func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 	case fs.Id:
 		return st
 	case fs.Err:
-		return st.withOk(smt.FalseT)
+		return &State{base: smt.FalseT, v: st.v, chunks: st.chunks}
 	case fs.Mkdir:
-		ok := en.S.And(st.Ok, en.isDir(st, e.Path.Parent()), en.isNone(st, e.Path))
-		out := st.with(e.Path, PathState{
+		return st.with(e.Path, PathState{
 			Kind:    en.S.EnumConst(en.V.KindSort, KindDir),
 			Content: en.S.EnumConst(en.V.ContentSort, canonicalToken),
-		})
-		return out.withOk(ok)
+		}, en.isDir(st, e.Path.Parent()), en.isNone(st, e.Path))
 	case fs.Creat:
-		ok := en.S.And(st.Ok, en.isDir(st, e.Path.Parent()), en.isNone(st, e.Path))
-		out := st.with(e.Path, PathState{
+		return st.with(e.Path, PathState{
 			Kind:    en.S.EnumConst(en.V.KindSort, KindFile),
 			Content: en.S.EnumConst(en.V.ContentSort, en.V.LiteralToken(e.Content)),
-		})
-		return out.withOk(ok)
+		}, en.isDir(st, e.Path.Parent()), en.isNone(st, e.Path))
 	case fs.Rm:
-		ok := en.S.And(st.Ok, en.S.Or(en.isFile(st, e.Path), en.isEmptyDir(st, e.Path)))
-		out := st.with(e.Path, PathState{
+		return st.with(e.Path, PathState{
 			Kind:    en.S.EnumConst(en.V.KindSort, KindNone),
 			Content: en.S.EnumConst(en.V.ContentSort, canonicalToken),
-		})
-		return out.withOk(ok)
+		}, en.S.Or(en.isFile(st, e.Path), en.isEmptyDir(st, e.Path)))
 	case fs.Cp:
-		ok := en.S.And(st.Ok,
-			en.isFile(st, e.Src),
-			en.isDir(st, e.Dst.Parent()),
-			en.isNone(st, e.Dst))
-		out := st.with(e.Dst, PathState{
+		return st.with(e.Dst, PathState{
 			Kind:    en.S.EnumConst(en.V.KindSort, KindFile),
 			Content: st.Lookup(e.Src).Content,
-		})
-		return out.withOk(ok)
+		}, en.isFile(st, e.Src), en.isDir(st, e.Dst.Parent()), en.isNone(st, e.Dst))
 	case fs.Seq:
 		return en.Apply(e.E2, en.Apply(e.E1, st))
 	case fs.If:
@@ -249,7 +283,7 @@ func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 // share, or whose path states are syntactically identical, are reused
 // rather than copied.
 func (en *Encoder) merge(c smt.T, a, b *State) *State {
-	out := &State{Ok: en.S.Ite(c, a.Ok, b.Ok), v: a.v, chunks: make([]*chunk, len(a.chunks))}
+	out := &State{base: en.S.Ite(c, en.Ok(a), en.Ok(b)), v: a.v, chunks: make([]*chunk, len(a.chunks))}
 	n := len(a.v.Paths)
 	for k, ca := range a.chunks {
 		cb := b.chunks[k]
@@ -295,6 +329,7 @@ func (en *Encoder) PathDiffers(a, b *State, p fs.Path) smt.T {
 // Like Apply it stops early, with a meaningless formula that en.S.Check
 // will not decide, once en.S.Interrupted().
 func (en *Encoder) StatesDiffer(a, b *State) smt.T {
+	aOk, bOk := en.Ok(a), en.Ok(b)
 	diffs := make([]smt.T, 0, len(en.V.Paths)+1)
 	for _, p := range en.V.Paths {
 		if en.S.Interrupted() {
@@ -302,9 +337,9 @@ func (en *Encoder) StatesDiffer(a, b *State) smt.T {
 		}
 		diffs = append(diffs, en.PathDiffers(a, b, p))
 	}
-	bothOk := en.S.And(a.Ok, b.Ok)
+	bothOk := en.S.And(aOk, bOk)
 	return en.S.Or(
-		en.S.Xor(a.Ok, b.Ok),
+		en.S.Xor(aOk, bOk),
 		en.S.And(bothOk, en.S.Or(diffs...)),
 	)
 }
@@ -357,5 +392,5 @@ func (en *Encoder) ModelState(st *State) (fs.State, error) {
 // ModelOk reports whether st is a success state in the current model. It
 // returns smt.ErrNoModel when the last Check did not produce a model.
 func (en *Encoder) ModelOk(st *State) (bool, error) {
-	return en.S.BoolValue(st.Ok)
+	return en.S.BoolValue(en.Ok(st))
 }

@@ -105,7 +105,7 @@ func TestStateDomainNotMultipleOfChunk(t *testing.T) {
 			parts = append(parts, fs.Creat{Path: p, Content: "x"})
 		}
 		st := en.Apply(fs.SeqAll(parts...), en.ConstState(fs.State{"/d": fs.DirContent()}))
-		en.S.Assert(en.S.Not(st.Ok))
+		en.S.Assert(en.S.Not(en.Ok(st)))
 		if got := en.S.Check(); got != sat.Unsat {
 			t.Fatalf("n=%d: creating every file under /d can fail (%v)", n, got)
 		}

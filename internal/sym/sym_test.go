@@ -224,7 +224,7 @@ func TestSymbolicMatchesConcrete(t *testing.T) {
 		wantOut, wantOk := fs.Eval(e, in)
 		if !wantOk {
 			// The symbolic ok must be false: asserting it is unsat.
-			en.S.Assert(outSt.Ok)
+			en.S.Assert(en.Ok(outSt))
 			if en.S.Check() != sat.Unsat {
 				t.Fatalf("trial %d: concrete errs but symbolic ok satisfiable\ne=%s\nin=%s",
 					trial, fs.String(e), fs.StateString(in))
@@ -232,7 +232,7 @@ func TestSymbolicMatchesConcrete(t *testing.T) {
 			continue
 		}
 		expected := en.ConstState(restrict(wantOut, dom))
-		en.S.Assert(en.S.Or(en.S.Not(outSt.Ok), en.StatesDiffer(outSt, expected)))
+		en.S.Assert(en.S.Or(en.S.Not(en.Ok(outSt)), en.StatesDiffer(outSt, expected)))
 		if en.S.Check() != sat.Unsat {
 			t.Fatalf("trial %d: symbolic output differs from concrete\ne=%s\nin=%s\nwant=%s",
 				trial, fs.String(e), fs.StateString(in), fs.StateString(wantOut))
@@ -304,7 +304,7 @@ func TestModelStateRoundTrip(t *testing.T) {
 	input := en.FreshInputState("in")
 	out := en.Apply(e, input)
 	// Ask for a successful run.
-	en.S.Assert(out.Ok)
+	en.S.Assert(en.Ok(out))
 	if en.S.Check() != sat.Sat {
 		t.Fatal("creat must be satisfiable")
 	}
